@@ -45,13 +45,19 @@ def _rule_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cover_arg(parser: argparse.ArgumentParser) -> None:
+def _cover_arg(
+    parser: argparse.ArgumentParser, help_text: str = "prime-implicant cover strategy"
+) -> None:
     parser.add_argument(
         "--cover-mode",
         choices=("exact", "greedy", "auto"),
         default="auto",
-        help="prime-implicant cover strategy",
+        help=help_text,
     )
+
+
+#: Help of --cover-mode where every rule is minimized with `greedy` under `auto`.
+_GREEDY_AUTO_HELP = "prime-implicant cover strategy; auto runs as greedy"
 
 
 def _dynamic_args(parser: argparse.ArgumentParser) -> None:
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="JSON array of 8 target components")
     p.add_argument("--out", required=True, help="catalog path (JSON lines)")
     p.add_argument("--verbose", action="store_true", help="per-generation progress on stderr")
-    _cover_arg(p)
+    _cover_arg(p, _GREEDY_AUTO_HELP)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("validate-h", help="check the 6-valued operator tables")
@@ -367,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, default=rules.MOORE_ARITY)
     p.add_argument("--with-dynamic", action="store_true", help="also sample dynamic measures")
     p.add_argument("--out", help="catalog path; defaults to stdout")
-    _cover_arg(p)
+    _cover_arg(p, _GREEDY_AUTO_HELP)
     _dynamic_args(p)
     p.set_defaults(func=_cmd_import)
 

@@ -14,9 +14,14 @@ import numpy as np
 
 from .heval import DEFAULT_TABLES, HTables, m_truth_table
 from .rules import CHAOTIC_CODES, TruthTable, ELEMENTARY_ARITY
-from .simulator import _mcode_lut, neighborhood_index_field, random_lattice
+from .simulator import mcode_lut, neighborhood_index_field, random_lattice, state_lut
 
 _SUM_TOLERANCE = 1e-9
+
+#: Cells evolved together in one stack by the dynamic measure: eight
+#: 100x100 lattices. Larger stacks index hardly faster per cell, while
+#: the measure's peak memory grows with the stack.
+_STACK_CELLS = 8 * 100 * 100
 
 #: Published behavior measures of the Game of Life, used as the default
 #: search target: (chaoticity, decrease, growth, stability) for the static
@@ -94,6 +99,15 @@ def static_measure(
     return BehaviorVector.from_counts(counts)
 
 
+def _run_stream(params: DynamicParams, run: int) -> tuple[np.random.Generator, int]:
+    """Run `run`'s generator, positioned after its sampling step k, and k.
+
+    Recreated where needed rather than kept: a generator costs ~3.5 kB.
+    """
+    rng = np.random.default_rng([params.seed, run])
+    return rng, int(rng.integers(1, params.max_steps + 1))
+
+
 def dynamic_measure(
     tt: TruthTable,
     params: DynamicParams,
@@ -108,22 +122,36 @@ def dynamic_measure(
     step 1..max_steps equal expected weight across runs. Each run derives
     an independent RNG stream from (seed, run index), so results do not
     depend on evaluation order.
+
+    Runs are evolved together: sorted by k_i (stable), in stacks of at
+    most _STACK_CELLS cells. At step t the stack is indexed once; runs with
+    k_i == t classify their cells from that index and leave the stack, the
+    rest advance. Percentages are stored by run index and averaged in run
+    order, so the result equals evolving each run alone.
     """
-    if isinstance(params.dims, int) and tt.arity != ELEMENTARY_ARITY:
-        raise MeasureError("1D dims require an elementary rule")
-    lut = _mcode_lut(tt, mode, tables)
-    state = tt.as_array()
+    if isinstance(params.dims, int) != (tt.arity == ELEMENTARY_ARITY):
+        raise MeasureError("elementary rules need 1D dims (N), Moore rules 2D dims (RxC)")
+    mcodes = mcode_lut(tt, mode, tables)
+    states = state_lut(tt)
+    ks = np.array([_run_stream(params, run)[1] for run in range(params.runs)])
+    order = np.argsort(ks, kind="stable")
+    per_stack = max(1, _STACK_CELLS // int(np.prod(params.dims)))
     percentages = np.zeros((params.runs, 6), dtype=np.float64)
-    for run in range(params.runs):
-        rng = np.random.default_rng([params.seed, run])
-        k = int(rng.integers(1, params.max_steps + 1))
-        lattice = random_lattice(params.dims, params.density, rng)
-        for _ in range(k - 1):
-            lattice = state[neighborhood_index_field(lattice)]
-        counts = np.bincount(
-            lut[neighborhood_index_field(lattice)].ravel(), minlength=6
+    for start in range(0, params.runs, per_stack):
+        # Runs in k order, so the ones due at step t lead the stack.
+        runs = order[start:start + per_stack]
+        stack = np.stack(
+            [random_lattice(params.dims, params.density, _run_stream(params, run)[0])
+             for run in runs]
         )
-        percentages[run] = counts / counts.sum() * 100
+        for t in range(1, int(ks[runs[-1]]) + 1):
+            index = neighborhood_index_field(stack, stack.ndim - 1)
+            due = int(np.searchsorted(ks[runs], t, side="right"))
+            for i, run in enumerate(runs[:due]):
+                counts = np.bincount(np.take(mcodes, index[i]).ravel(), minlength=6)
+                percentages[run] = counts / counts.sum() * 100
+            runs = runs[due:]
+            stack = np.take(states, index[due:])
     mean = percentages.mean(axis=0)
     return BehaviorVector.from_counts(mean)
 

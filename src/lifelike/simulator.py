@@ -2,9 +2,20 @@
 
 Lattices are numpy uint8 arrays of 0/1 cells: 1D arrays for elementary
 rules, 2D arrays for Moore-neighborhood rules. Boundaries are always
-toroidal. The fast engine precomputes a 2^m lookup keyed by the packed
-neighborhood index and applies it with vectorized rolls; a naive
-pure-Python engine exists as a cross-check oracle.
+toroidal. Every update looks its cells up in a 2^m table keyed by the
+packed neighborhood index, so one engine serves all rules.
+
+The index is separable. Two rolls along the last axis give each cell a
+3-bit row code (left, center, right), which is already the elementary
+index; two rolls along the row axis stack the codes of the rows above,
+at and below a cell into the 9-bit Moore index. The rolls act on the
+trailing lattice axes only, so one call indexes a whole stack of
+lattices, shape (n, N) or (n, H, W); the dynamic measure evolves its
+runs that way. `evolve` indexes each frame once and reads both the next
+state and, on request, the M code from that one index.
+
+The lookup tables are cached per rule and read-only, because every
+caller shares them.
 """
 from __future__ import annotations
 
@@ -15,18 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .heval import HTables, DEFAULT_TABLES, m_truth_table
-from .rules import (
-    ELEMENTARY_ARITY,
-    MOORE_ARITY,
-    TruthTable,
-    index_to_cells,
-    neighborhood_index,
-)
-
-#: Row-major offsets of the 2D Moore neighborhood, most significant first.
-MOORE_OFFSETS = tuple(
-    (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
-)
+from .rules import ELEMENTARY_ARITY, MOORE_ARITY, TruthTable
 
 #: Pixel colors for M codes 0..5 in rendered fields.
 M_PALETTE = (
@@ -43,13 +43,20 @@ class LatticeError(ValueError):
     """Lattice shape incompatible with the rule arity."""
 
 
-def _check_dims(c: np.ndarray, tt: TruthTable) -> None:
-    if tt.arity == ELEMENTARY_ARITY and c.ndim != 1:
-        raise LatticeError("elementary rules evolve 1D lattices")
-    if tt.arity == MOORE_ARITY and c.ndim != 2:
-        raise LatticeError("Moore-neighborhood rules evolve 2D lattices")
-    if c.ndim not in (1, 2):
-        raise LatticeError(f"unsupported lattice rank {c.ndim}")
+def _check_dims(c: np.ndarray, tt: TruthTable) -> int:
+    """Check that c is one lattice of tt or, for a Moore rule, an (n, H, W) stack.
+
+    Returns the rank of one lattice: 1 for elementary rules, 2 for Moore rules.
+    """
+    if tt.arity == ELEMENTARY_ARITY:
+        if c.ndim != 1:
+            raise LatticeError("elementary rules evolve 1D lattices")
+        return 1
+    if tt.arity == MOORE_ARITY:
+        if c.ndim not in (2, 3):
+            raise LatticeError("Moore-neighborhood rules evolve 2D lattices or (n, H, W) stacks")
+        return 2
+    raise LatticeError(f"rules of arity {tt.arity} have no lattice")
 
 
 def random_lattice(
@@ -59,53 +66,45 @@ def random_lattice(
     return (rng.random(dims) < density).astype(np.uint8)
 
 
-def neighborhood_index_field(c: np.ndarray) -> np.ndarray:
-    """Packed neighborhood index of every cell, toroidal wrap."""
-    if c.ndim == 1:
-        left = np.roll(c, 1)
-        right = np.roll(c, -1)
-        return (left.astype(np.uint16) << 2) | (c.astype(np.uint16) << 1) | right
-    idx = np.zeros(c.shape, dtype=np.uint16)
-    for k, (di, dj) in enumerate(MOORE_OFFSETS):
-        shifted = np.roll(np.roll(c, -di, axis=0), -dj, axis=1)
-        idx = (idx << 1) | shifted
-    return idx
+def neighborhood_index_field(c: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """Packed neighborhood index of every cell, toroidal wrap.
+
+    The last `rank` axes of `c` form one lattice (1: elementary, 2: Moore);
+    any leading axes index a stack of lattices. `rank` defaults to c.ndim,
+    a single lattice.
+    """
+    if rank is None:
+        rank = c.ndim
+    if rank not in (1, 2) or c.ndim < rank:
+        raise LatticeError(f"cannot index rank-{rank} lattices in a {c.ndim}D array")
+    c = c.astype(np.uint16)
+    row = (np.roll(c, 1, -1) << 2) | (c << 1) | np.roll(c, -1, -1)
+    if rank == 1:
+        return row
+    return (np.roll(row, 1, -2) << 6) | (row << 3) | np.roll(row, -1, -2)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=64)
-def _state_lut(tt: TruthTable) -> np.ndarray:
-    return tt.as_array()
+def state_lut(tt: TruthTable) -> np.ndarray:
+    """Next state per neighborhood index; cached and read-only."""
+    return _read_only(tt.as_array())
 
 
 @lru_cache(maxsize=64)
-def _mcode_lut(tt: TruthTable, mode: str, tables: HTables) -> np.ndarray:
-    return np.array(m_truth_table(tt, mode, tables), dtype=np.uint8)
+def mcode_lut(tt: TruthTable, mode: str, tables: HTables) -> np.ndarray:
+    """M code per neighborhood index; cached and read-only."""
+    return _read_only(np.array(m_truth_table(tt, mode, tables), dtype=np.uint8))
 
 
 def step(c: np.ndarray, tt: TruthTable) -> np.ndarray:
-    """Synchronous update of every cell on the torus."""
-    _check_dims(c, tt)
-    return _state_lut(tt)[neighborhood_index_field(c)]
-
-
-def step_naive(c: np.ndarray, tt: TruthTable) -> np.ndarray:
-    """Reference engine: per-cell Python loop, used as a test oracle."""
-    _check_dims(c, tt)
-    out = np.zeros_like(c)
-    if c.ndim == 1:
-        n = c.shape[0]
-        for x in range(n):
-            cells = (c[(x - 1) % n], c[x], c[(x + 1) % n])
-            out[x] = tt.outputs[neighborhood_index(cells)]
-        return out
-    rows, cols = c.shape
-    for i in range(rows):
-        for j in range(cols):
-            cells = [
-                int(c[(i + di) % rows, (j + dj) % cols]) for di, dj in MOORE_OFFSETS
-            ]
-            out[i, j] = tt.outputs[neighborhood_index(cells)]
-    return out
+    """Synchronous update of every cell on the torus (of every lattice of a stack)."""
+    rank = _check_dims(c, tt)
+    return np.take(state_lut(tt), neighborhood_index_field(c, rank))
 
 
 def m_field(
@@ -115,8 +114,8 @@ def m_field(
     tables: HTables = DEFAULT_TABLES,
 ) -> np.ndarray:
     """M code of every cell's next step; state projection equals step(c, tt)."""
-    _check_dims(c, tt)
-    return _mcode_lut(tt, mode, tables)[neighborhood_index_field(c)]
+    rank = _check_dims(c, tt)
+    return np.take(mcode_lut(tt, mode, tables), neighborhood_index_field(c, rank))
 
 
 @dataclass
@@ -138,11 +137,15 @@ def evolve(
     if steps < 0:
         raise ValueError("step count must be non-negative")
     frames = [np.array(c0, dtype=np.uint8)]
+    rank = _check_dims(frames[0], tt)
+    states = state_lut(tt)
+    mcodes = mcode_lut(tt, mode, tables) if with_mfields else None
     mfields: list[np.ndarray] | None = [] if with_mfields else None
     for _ in range(steps):
+        index = neighborhood_index_field(frames[-1], rank)
         if with_mfields:
-            mfields.append(m_field(frames[-1], tt, mode, tables))
-        frames.append(step(frames[-1], tt))
+            mfields.append(np.take(mcodes, index))
+        frames.append(np.take(states, index))
     return EvolutionHistory(frames, mfields)
 
 

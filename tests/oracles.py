@@ -1,0 +1,29 @@
+"""Per-cell reference engines that the vectorized simulator is checked against."""
+import numpy as np
+
+from lifelike.rules import TruthTable, neighborhood_index
+
+#: Row-major offsets of the 2D Moore neighborhood, most significant first.
+MOORE_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+
+def index_field_naive(c: np.ndarray) -> np.ndarray:
+    """Packed neighborhood index of every cell of one lattice, per-cell Python loop."""
+    out = np.zeros(c.shape, dtype=np.int64)
+    if c.ndim == 1:
+        n = c.shape[0]
+        for x in range(n):
+            out[x] = neighborhood_index((int(c[(x - 1) % n]), int(c[x]), int(c[(x + 1) % n])))
+        return out
+    rows, cols = c.shape
+    for i in range(rows):
+        for j in range(cols):
+            cells = [int(c[(i + di) % rows, (j + dj) % cols]) for di, dj in MOORE_OFFSETS]
+            out[i, j] = neighborhood_index(cells)
+    return out
+
+
+def step_naive(c: np.ndarray, tt: TruthTable) -> np.ndarray:
+    """Reference engine: per-cell Python loop over one lattice."""
+    outputs = np.array(tt.outputs, dtype=np.uint8)
+    return outputs[index_field_naive(c)]

@@ -28,6 +28,12 @@ class TestExitCodes:
         assert "error" in err
         assert out == ""
 
+    def test_elementary_rule_with_2d_size_exit_1(self, capsys):
+        code, out, err = run(capsys, "dynamic", "elem:110", "--size", "10x10", "--runs", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestStatic:
     def test_rule_94(self, capsys):

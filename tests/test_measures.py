@@ -106,6 +106,11 @@ class TestDynamicMeasure:
         with pytest.raises(MeasureError):
             dynamic_measure(gol_truth_table(), params)
 
+    def test_elementary_rule_rejects_2d_dims(self):
+        params = DynamicParams(runs=2, dims=(10, 10), max_steps=5, seed=0)
+        with pytest.raises(MeasureError):
+            dynamic_measure(elementary(110), params)
+
     def test_param_validation(self):
         with pytest.raises(MeasureError):
             DynamicParams(runs=0)
@@ -113,6 +118,38 @@ class TestDynamicMeasure:
             DynamicParams(density=1.5)
         with pytest.raises(MeasureError):
             DynamicParams(dims=(2, 50))
+
+
+# dynamic_measure(...).as_tuple() of seeded cases, recorded from the
+# engine that evolved each run alone; stacked evolution must match exactly.
+GOLDEN_DYNAMIC = [
+    ("gol_100x100_30runs", "gol", {"runs": 30, "dims": (100, 100), "max_steps": 100, "seed": 0},
+     (0.0, 74.45266666666667, 12.673666666666666, 12.873666666666669)),
+    ("gol_1run", "gol", {"runs": 1, "dims": (40, 40), "max_steps": 100, "seed": 5},
+     (0.0, 82.6875, 10.4375, 6.875000000000001)),
+    ("gol_13runs", "gol", {"runs": 13, "dims": (100, 100), "max_steps": 60, "seed": 11},
+     (0.0, 68.30230769230769, 16.179230769230767, 15.518461538461533)),
+    ("gol_max_steps_1", "gol", {"runs": 9, "dims": (30, 30), "max_steps": 1, "seed": 2},
+     (0.0, 6.061728395061728, 27.246913580246908, 66.69135802469135)),
+    ("gol_24x37", "gol", {"runs": 17, "dims": (24, 37), "max_steps": 50, "seed": 7},
+     (0.0, 70.11791202967673, 15.023847376788549, 14.85824059353471)),
+    ("gol_density_0", "gol", {"runs": 5, "dims": (20, 20), "max_steps": 10, "density": 0.0, "seed": 1},
+     (0.0, 100.0, 0.0, 0.0)),
+    ("gol_density_1", "gol", {"runs": 5, "dims": (20, 20), "max_steps": 10, "density": 1.0, "seed": 1},
+     (0.0, 100.0, 0.0, 0.0)),
+    ("elem110_48cells", "e110", {"runs": 21, "dims": 48, "max_steps": 40, "seed": 3},
+     (13.095238095238097, 13.194444444444448, 55.158730158730165, 18.551587301587297)),
+]
+
+
+class TestDynamicGolden:
+    @pytest.mark.parametrize(
+        "rule,kwargs,expected",
+        [pytest.param(rule, kwargs, expected, id=name) for name, rule, kwargs, expected in GOLDEN_DYNAMIC],
+    )
+    def test_reproduces_recorded_vector(self, rule, kwargs, expected):
+        tt = gol_truth_table() if rule == "gol" else elementary(110)
+        assert dynamic_measure(tt, DynamicParams(**kwargs)).as_tuple() == expected
 
 
 class TestDistance:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelike.heval import DEFAULT_TABLES
 from lifelike.rules import elementary, gol_truth_table, state_of
 from lifelike.simulator import (
     LatticeError,
@@ -14,10 +15,13 @@ from lifelike.simulator import (
     ppm_bytes,
     random_lattice,
     render_ppm,
+    mcode_lut,
     spacetime,
+    state_lut,
     step,
-    step_naive,
 )
+
+from oracles import index_field_naive, step_naive
 
 
 def place(shape, cells):
@@ -95,6 +99,43 @@ class TestNeighborhoodIndexField:
         assert idx[2, 2] == 1 << 8  # live cell is its NW neighbor
 
 
+class TestStacks:
+    @given(st.integers(1, 4), st.integers(3, 9), st.integers(3, 9), st.integers(0, 2**30))
+    @settings(max_examples=25, deadline=None)
+    def test_moore_stack_matches_per_lattice_oracle(self, n, rows, cols, seed):
+        tt = gol_truth_table()
+        stack = (np.random.default_rng(seed).random((n, rows, cols)) < 0.5).astype(np.uint8)
+        idx = neighborhood_index_field(stack, rank=2)
+        nxt = step(stack, tt)
+        for lattice, lattice_idx, lattice_next in zip(stack, idx, nxt):
+            assert np.array_equal(lattice_idx, index_field_naive(lattice))
+            assert np.array_equal(lattice_next, step_naive(lattice, tt))
+
+    @given(st.integers(1, 4), st.integers(3, 20), st.integers(0, 255), st.integers(0, 2**30))
+    @settings(max_examples=25, deadline=None)
+    def test_elementary_stack_matches_per_lattice_oracle(self, n, cells, rule, seed):
+        tt = elementary(rule)
+        stack = (np.random.default_rng(seed).random((n, cells)) < 0.5).astype(np.uint8)
+        idx = neighborhood_index_field(stack, rank=1)
+        for lattice, lattice_idx in zip(stack, idx):
+            assert np.array_equal(lattice_idx, index_field_naive(lattice))
+            assert np.array_equal(step(lattice, tt), step_naive(lattice, tt))
+
+    def test_ambiguous_rank_rejected(self):
+        with pytest.raises(LatticeError):
+            neighborhood_index_field(np.zeros((2, 3, 3), dtype=np.uint8))
+
+
+class TestLookupTables:
+    def test_cached_tables_are_read_only(self):
+        tt = elementary(110)
+        for lut in (state_lut(tt), mcode_lut(tt, "auto", DEFAULT_TABLES)):
+            with pytest.raises(ValueError):
+                lut[0] = 1
+        c = random_lattice(16, 0.5, np.random.default_rng(2))
+        assert np.array_equal(step(c, tt), step_naive(c, tt))
+
+
 class TestMField:
     def test_state_projection_equals_step(self):
         tt = gol_truth_table()
@@ -116,6 +157,13 @@ class TestEvolve:
         h = evolve(place((6, 6), BLINKER), gol_truth_table(), 5, with_mfields=True)
         assert len(h.frames) == 6
         assert len(h.mfields) == 5
+
+    def test_frames_and_fields_match_step_and_m_field(self):
+        tt = gol_truth_table()
+        h = evolve(random_lattice((10, 12), 0.4, np.random.default_rng(3)), tt, 6, with_mfields=True)
+        for t, field in enumerate(h.mfields):
+            assert np.array_equal(field, m_field(h.frames[t], tt))
+            assert np.array_equal(h.frames[t + 1], step(h.frames[t], tt))
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
