@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lifelike import evolve, parse_rule_spec, random_lattice, render_ppm
+from lifelike import evolve, parse_rule_spec, random_lattice, render_ppm, rule_profile
 from lifelike.simulator import load_pattern
 
 SELF_REPLICATOR = (
@@ -41,7 +41,7 @@ def main() -> None:
         rng = np.random.default_rng(args.seed)
         lattice = random_lattice(tuple(args.size), args.density, rng)
 
-    history = evolve(lattice, tt, args.steps, with_mfields=True)
+    history = evolve(lattice, rule_profile(tt), args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for t in range(0, len(history.frames), args.every):

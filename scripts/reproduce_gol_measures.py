@@ -14,6 +14,7 @@ from lifelike import (
     dynamic_measure,
     feature_vector,
     gol_truth_table,
+    rule_profile,
     static_measure,
 )
 
@@ -35,10 +36,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    tt = gol_truth_table()
-    me = static_measure(tt, "exact")
+    profile = rule_profile(gol_truth_table(), "exact")
+    me = static_measure(profile)
     md = dynamic_measure(
-        tt,
+        profile,
         DynamicParams(
             runs=args.runs,
             dims=tuple(args.size),

@@ -15,7 +15,7 @@ from .boolmin import (
     minimize_detailed,
 )
 from .catalog import CatalogError, CatalogRecord, import_published_rules, read_catalog, write_catalog
-from .heval import DEFAULT_TABLES, HTables, eval_g, m_truth_table, validate_h
+from .heval import DEFAULT_TABLES, HTables, RuleProfile, eval_g, m_truth_table, rule_profile, validate_h
 from .measures import (
     GOL_TARGET,
     BehaviorVector,
@@ -66,6 +66,7 @@ __all__ = [
     "MeasureError",
     "RuleError",
     "RuleNumber",
+    "RuleProfile",
     "TruthTable",
     "averaged_spacetime",
     "correlation",
@@ -90,6 +91,7 @@ __all__ = [
     "random_lattice",
     "read_catalog",
     "render_ppm",
+    "rule_profile",
     "run_ga",
     "spacetime",
     "static_measure",

@@ -11,6 +11,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
+from .heval import rule_profile
+from .measures import MeasureError, correlation, dynamic_measure, static_measure
 from .rules import RuleError, RuleNumber, decode_rule_number
 
 _VECTOR_TOLERANCE = 1e-6
@@ -107,13 +109,6 @@ def import_published_rules(
     Malformed lines are reported to `diagnostics` with their line number
     and skipped; the remaining lines still produce records.
     """
-    from .measures import (  # local import to avoid a cycle with measures
-        MeasureError,
-        correlation,
-        dynamic_measure,
-        static_measure,
-    )
-
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -126,10 +121,11 @@ def import_published_rules(
             except (ValueError, RuleError) as exc:
                 print(f"{path}:{lineno}: skipped: {exc}", file=diagnostics)
                 continue
-            me = static_measure(tt, cover_mode)
+            profile = rule_profile(tt, cover_mode)
+            me = static_measure(profile)
             md = corr = None
             if dynamic_params is not None:
-                md = dynamic_measure(tt, dynamic_params, cover_mode)
+                md = dynamic_measure(profile, dynamic_params)
                 try:
                     corr = correlation(me, md)
                 except MeasureError:

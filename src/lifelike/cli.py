@@ -91,29 +91,28 @@ def _vector_json(v: measures.BehaviorVector) -> dict:
 
 def _cmd_analyze(args) -> int:
     tt = rules.parse_rule_spec(args.rule, args.bit_order)
-    expr, used_mode = boolmin.minimize_detailed(tt, args.cover_mode)
+    profile = heval.rule_profile(tt, args.cover_mode)
     payload = {
         "rule": rules.format_rule_spec(tt),
         "arity": tt.arity,
-        "cover_mode": used_mode,
-        "leaves": boolmin.leaf_count(expr),
-        "static": _vector_json(measures.static_measure(tt, args.cover_mode)),
+        "cover_mode": profile.cover_mode,
+        "leaves": boolmin.leaf_count(profile.expr),
+        "static": _vector_json(measures.static_measure(profile)),
     }
     if args.emit_expr:
-        payload["expression"] = boolmin.format_expr(expr, tt.arity)
+        payload["expression"] = boolmin.format_expr(profile.expr, tt.arity)
     if args.emit_mtable:
-        codes = heval.eval_g_all(expr, tt.arity)
-        payload["mtable"] = [int(c) for c in codes]
+        payload["mtable"] = profile.mcodes.tolist()
     _emit(payload)
     if args.emit_mtable:
-        for i, c in enumerate(codes):
-            print(f"{i} -> {int(c)}", file=sys.stderr)
+        for i, c in enumerate(payload["mtable"]):
+            print(f"{i} -> {c}", file=sys.stderr)
     return 0
 
 
 def _cmd_static(args) -> int:
     tt = rules.parse_rule_spec(args.rule, args.bit_order)
-    me = measures.static_measure(tt, args.cover_mode)
+    me = measures.static_measure(heval.rule_profile(tt, args.cover_mode))
     _emit(
         {
             "rule": rules.format_rule_spec(tt),
@@ -127,7 +126,7 @@ def _cmd_static(args) -> int:
 def _cmd_dynamic(args) -> int:
     tt = rules.parse_rule_spec(args.rule, args.bit_order)
     params = _dynamic_params(args)
-    md = measures.dynamic_measure(tt, params, args.cover_mode)
+    md = measures.dynamic_measure(heval.rule_profile(tt, args.cover_mode), params)
     _emit(
         {
             "rule": rules.format_rule_spec(tt),
@@ -160,8 +159,9 @@ def _cmd_distance(args) -> int:
     }
     features = []
     for label, tt in (("a", tt_a), ("b", tt_b)):
-        me = measures.static_measure(tt, args.cover_mode)
-        md = measures.dynamic_measure(tt, params, args.cover_mode)
+        profile = heval.rule_profile(tt, args.cover_mode)
+        me = measures.static_measure(profile)
+        md = measures.dynamic_measure(profile, params)
         try:
             corr = measures.correlation(me, md)
         except measures.MeasureError:
@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
         lattice = simulator.random_lattice(
             _parse_size(args.size), args.density, rng
         )
-    history = simulator.evolve(lattice, tt, args.steps, with_mfields=True)
+    history = simulator.evolve(lattice, heval.rule_profile(tt), args.steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -225,10 +225,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_target(text: str) -> tuple[float, ...]:
+    """--target: a JSON array of 8 numbers."""
+    values = json.loads(text)
+    if not isinstance(values, list) or len(values) != 8 or any(
+        type(v) not in (int, float) for v in values
+    ):
+        raise ValueError(f"--target must be a JSON array of 8 numbers, got {text!r}")
+    return tuple(float(v) for v in values)
+
+
 def _cmd_search(args) -> int:
     target = measures.GOL_TARGET
     if args.target is not None:
-        target = tuple(float(v) for v in json.loads(args.target))
+        target = _parse_target(args.target)
     cfg = search.GAConfig(
         pop_size=args.pop,
         generations=args.gens,

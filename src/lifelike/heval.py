@@ -11,6 +11,9 @@ The binary tables follow a severity order chaotic > decrease > stable on
 state-0 results, and a destroyed live input (operand states differing
 under AND) reads as decrease. n-ary nodes are folded left-associatively
 over their canonically sorted children.
+
+`rule_profile` minimizes a rule once and M-codes its whole truth table;
+the measures, the simulator, the search and the CLI all read that profile.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import boolmin
-from .boolmin import BoolExpr, minimize_detailed
+from .boolmin import BoolExpr
 from .rules import (
     CHAOTIC_CODES,
     DECREASE_CODES,
@@ -179,12 +182,35 @@ def eval_g_all(expr: BoolExpr, arity: int, tables: HTables = DEFAULT_TABLES) -> 
     return _eval_vec(expr, leaves, tables)
 
 
+@dataclass(frozen=True, eq=False)
+class RuleProfile:
+    """A rule's minimal form and its M-coded truth table.
+
+    cover_mode is the cover strategy actually used ("exact" or "greedy");
+    mcodes holds one M code per neighborhood index (read-only uint8).
+    """
+
+    tt: TruthTable
+    expr: BoolExpr
+    cover_mode: str
+    mcodes: np.ndarray
+
+
+def rule_profile(
+    tt: TruthTable, mode: str = "auto", tables: HTables = DEFAULT_TABLES
+) -> RuleProfile:
+    """Minimize tt once and evaluate the result over M for every neighborhood."""
+    expr, used_mode = boolmin.minimize_detailed(tt, mode)
+    mcodes = np.array(eval_g_all(expr, tt.arity, tables), dtype=np.uint8)
+    mcodes.setflags(write=False)
+    return RuleProfile(tt, expr, used_mode, mcodes)
+
+
 def m_truth_table(
     tt: TruthTable, mode: str = "auto", tables: HTables = DEFAULT_TABLES
 ) -> tuple[int, ...]:
     """The truth table re-coded over M, one code per neighborhood index."""
-    expr = boolmin.minimize(tt, mode)
-    return tuple(int(c) for c in eval_g_all(expr, tt.arity, tables))
+    return tuple(rule_profile(tt, mode, tables).mcodes.tolist())
 
 
 def behavior_counts(codes: Sequence[int]) -> dict[str, int]:

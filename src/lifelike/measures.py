@@ -1,10 +1,10 @@
 """Static and dynamic behavior measures, distances, and correlation.
 
 Both measures are percentage vectors (stability, decrease, growth,
-chaoticity) summing to 100. The static measure counts behaviors over all
-2^m rows of the rule's M-coded truth table; the dynamic measure averages
-behavior occurrences over evolutions from random initial lattices,
-excluding the initial configuration.
+chaoticity) summing to 100, and both read a rule's `RuleProfile`. The
+static measure counts behaviors over all 2^m rows of its M-coded truth
+table; the dynamic measure averages behavior occurrences over evolutions
+from random initial lattices, excluding the initial configuration.
 """
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heval import DEFAULT_TABLES, HTables, m_truth_table
-from .rules import CHAOTIC_CODES, TruthTable, ELEMENTARY_ARITY
-from .simulator import mcode_lut, neighborhood_index_field, random_lattice, state_lut
+from .heval import RuleProfile
+from .rules import ELEMENTARY_ARITY, MOORE_ARITY
+from .simulator import neighborhood_index_field, random_lattice
 
 _SUM_TOLERANCE = 1e-9
 
@@ -90,13 +90,9 @@ class DynamicParams:
             raise MeasureError("lattice dimensions must be >= 3")
 
 
-def static_measure(
-    tt: TruthTable, mode: str = "auto", tables: HTables = DEFAULT_TABLES
-) -> BehaviorVector:
+def static_measure(profile: RuleProfile) -> BehaviorVector:
     """Behavior percentages over all rows of the M-coded truth table."""
-    codes = m_truth_table(tt, mode, tables)
-    counts = np.bincount(np.array(codes, dtype=np.uint8), minlength=6)
-    return BehaviorVector.from_counts(counts)
+    return BehaviorVector.from_counts(np.bincount(profile.mcodes, minlength=6))
 
 
 def _run_stream(params: DynamicParams, run: int) -> tuple[np.random.Generator, int]:
@@ -108,12 +104,7 @@ def _run_stream(params: DynamicParams, run: int) -> tuple[np.random.Generator, i
     return rng, int(rng.integers(1, params.max_steps + 1))
 
 
-def dynamic_measure(
-    tt: TruthTable,
-    params: DynamicParams,
-    mode: str = "auto",
-    tables: HTables = DEFAULT_TABLES,
-) -> BehaviorVector:
+def dynamic_measure(profile: RuleProfile, params: DynamicParams) -> BehaviorVector:
     """Mean per-run behavior percentages over seeded random evolutions.
 
     Each run i draws a sampling step k_i uniformly from [1, max_steps],
@@ -129,10 +120,12 @@ def dynamic_measure(
     rest advance. Percentages are stored by run index and averaged in run
     order, so the result equals evolving each run alone.
     """
-    if isinstance(params.dims, int) != (tt.arity == ELEMENTARY_ARITY):
+    arity = profile.tt.arity
+    if arity not in (ELEMENTARY_ARITY, MOORE_ARITY):
+        raise MeasureError(f"rules of arity {arity} have no lattice to evolve")
+    if isinstance(params.dims, int) != (arity == ELEMENTARY_ARITY):
         raise MeasureError("elementary rules need 1D dims (N), Moore rules 2D dims (RxC)")
-    mcodes = mcode_lut(tt, mode, tables)
-    states = state_lut(tt)
+    states = profile.tt.as_array()
     ks = np.array([_run_stream(params, run)[1] for run in range(params.runs)])
     order = np.argsort(ks, kind="stable")
     per_stack = max(1, _STACK_CELLS // int(np.prod(params.dims)))
@@ -148,7 +141,7 @@ def dynamic_measure(
             index = neighborhood_index_field(stack, stack.ndim - 1)
             due = int(np.searchsorted(ks[runs], t, side="right"))
             for i, run in enumerate(runs[:due]):
-                counts = np.bincount(np.take(mcodes, index[i]).ravel(), minlength=6)
+                counts = np.bincount(np.take(profile.mcodes, index[i]).ravel(), minlength=6)
                 percentages[run] = counts / counts.sum() * 100
             runs = runs[due:]
             stack = np.take(states, index[due:])

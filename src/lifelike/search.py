@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogRecord
+from .heval import rule_profile
 from .measures import (
     GOL_TARGET,
     BehaviorVector,
@@ -102,16 +103,15 @@ def random_population(cfg: GAConfig, rng: np.random.Generator) -> list[Individua
 
 def evaluate(ind: Individual, cfg: GAConfig) -> Individual:
     """Fill in measures and fitness; stability violations get worst fitness."""
-    tt = ind.truth_table()
-    ind.me = static_measure(tt, cfg.cover_mode)
+    profile = rule_profile(ind.truth_table(), cfg.cover_mode)
+    ind.me = static_measure(profile)
     if ind.me.stability > 0:
         ind.md = None
         ind.fitness = math.inf
         ind.stability_zero = False
         return ind
-    ind.md = dynamic_measure(
-        tt, cfg.dynamic_params(_dynamic_seed(cfg, ind.chromosome)), cfg.cover_mode
-    )
+    params = cfg.dynamic_params(_dynamic_seed(cfg, ind.chromosome))
+    ind.md = dynamic_measure(profile, params)
     ind.stability_zero = ind.md.stability == 0
     if not ind.stability_zero:
         ind.fitness = math.inf

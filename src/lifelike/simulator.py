@@ -12,20 +12,20 @@ at and below a cell into the 9-bit Moore index. The rolls act on the
 trailing lattice axes only, so one call indexes a whole stack of
 lattices, shape (n, N) or (n, H, W); the dynamic measure evolves its
 runs that way. `evolve` indexes each frame once and reads both the next
-state and, on request, the M code from that one index.
+state and the M code from that one index.
 
-The lookup tables are cached per rule and read-only, because every
-caller shares them.
+The next state is read from the rule's truth table, the M code from the
+M-coded table of its `RuleProfile`, which is built once per rule and is
+read-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .heval import HTables, DEFAULT_TABLES, m_truth_table
+from .heval import RuleProfile
 from .rules import ELEMENTARY_ARITY, MOORE_ARITY, TruthTable
 
 #: Pixel colors for M codes 0..5 in rendered fields.
@@ -84,67 +84,36 @@ def neighborhood_index_field(c: np.ndarray, rank: int | None = None) -> np.ndarr
     return (np.roll(row, 1, -2) << 6) | (row << 3) | np.roll(row, -1, -2)
 
 
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=64)
-def state_lut(tt: TruthTable) -> np.ndarray:
-    """Next state per neighborhood index; cached and read-only."""
-    return _read_only(tt.as_array())
-
-
-@lru_cache(maxsize=64)
-def mcode_lut(tt: TruthTable, mode: str, tables: HTables) -> np.ndarray:
-    """M code per neighborhood index; cached and read-only."""
-    return _read_only(np.array(m_truth_table(tt, mode, tables), dtype=np.uint8))
-
-
 def step(c: np.ndarray, tt: TruthTable) -> np.ndarray:
     """Synchronous update of every cell on the torus (of every lattice of a stack)."""
     rank = _check_dims(c, tt)
-    return np.take(state_lut(tt), neighborhood_index_field(c, rank))
+    return np.take(tt.as_array(), neighborhood_index_field(c, rank))
 
 
-def m_field(
-    c: np.ndarray,
-    tt: TruthTable,
-    mode: str = "auto",
-    tables: HTables = DEFAULT_TABLES,
-) -> np.ndarray:
-    """M code of every cell's next step; state projection equals step(c, tt)."""
-    rank = _check_dims(c, tt)
-    return np.take(mcode_lut(tt, mode, tables), neighborhood_index_field(c, rank))
+def m_field(c: np.ndarray, profile: RuleProfile) -> np.ndarray:
+    """M code of every cell's next step; state projection equals step(c, profile.tt)."""
+    rank = _check_dims(c, profile.tt)
+    return np.take(profile.mcodes, neighborhood_index_field(c, rank))
 
 
 @dataclass
 class EvolutionHistory:
-    """Frames C^0..C^T with optional aligned M fields D^1..D^T."""
+    """Frames C^0..C^T with aligned M fields D^1..D^T."""
 
     frames: list[np.ndarray]
-    mfields: list[np.ndarray] | None = None
+    mfields: list[np.ndarray]
 
 
-def evolve(
-    c0: np.ndarray,
-    tt: TruthTable,
-    steps: int,
-    with_mfields: bool = False,
-    mode: str = "auto",
-    tables: HTables = DEFAULT_TABLES,
-) -> EvolutionHistory:
+def evolve(c0: np.ndarray, profile: RuleProfile, steps: int) -> EvolutionHistory:
     if steps < 0:
         raise ValueError("step count must be non-negative")
     frames = [np.array(c0, dtype=np.uint8)]
-    rank = _check_dims(frames[0], tt)
-    states = state_lut(tt)
-    mcodes = mcode_lut(tt, mode, tables) if with_mfields else None
-    mfields: list[np.ndarray] | None = [] if with_mfields else None
+    rank = _check_dims(frames[0], profile.tt)
+    states = profile.tt.as_array()
+    mfields: list[np.ndarray] = []
     for _ in range(steps):
         index = neighborhood_index_field(frames[-1], rank)
-        if with_mfields:
-            mfields.append(np.take(mcodes, index))
+        mfields.append(np.take(profile.mcodes, index))
         frames.append(np.take(states, index))
     return EvolutionHistory(frames, mfields)
 

@@ -9,7 +9,7 @@ import pytest
 from lifelike.boolmin import eval_bool, format_expr, minimize, minimize_detailed
 from lifelike.catalog import write_catalog
 from lifelike.cli import main
-from lifelike.heval import behavior_counts, eval_g_all, m_truth_table, validate_h
+from lifelike.heval import behavior_counts, eval_g_all, m_truth_table, rule_profile, validate_h
 from lifelike.measures import (
     GOL_TARGET,
     DynamicParams,
@@ -47,7 +47,7 @@ def test_criterion_02_rule_94_end_to_end():
     expr = minimize(tt, "exact")
     form = format_expr(expr, 3)
     mtable = m_truth_table(tt, "exact")
-    me = static_measure(tt, "exact").as_tuple()
+    me = static_measure(rule_profile(tt, "exact")).as_tuple()
     ok = (
         form == "(!p & q) | (p ^ r)"
         and mtable == (1, 4, 4, 4, 4, 2, 4, 2)
@@ -103,7 +103,7 @@ def test_criterion_04_semantic_soundness_exhaustive():
 
 
 def test_criterion_05_gol_static_measure():
-    me = static_measure(gol_truth_table(), "exact")
+    me = static_measure(rule_profile(gol_truth_table(), "exact"))
     growth_exact = me.growth == pytest.approx(140 / 512 * 100, abs=1e-9)
     sums = me.decrease + me.growth + me.chaoticity
     dev_dec = abs(me.decrease - 4.68)
@@ -126,7 +126,7 @@ def test_criterion_05_gol_static_measure():
 def test_criterion_06_gol_dynamic_measure():
     start = time.time()
     md = dynamic_measure(
-        gol_truth_table(),
+        rule_profile(gol_truth_table()),
         DynamicParams(runs=30, dims=(100, 100), max_steps=100, density=0.5, seed=0),
     )
     elapsed = time.time() - start
@@ -195,12 +195,13 @@ def test_criterion_08_simulator_oracles():
     )
 
     rng = np.random.default_rng(0)
+    profile = rule_profile(tt)
     projection = True
     engines = True
     for _ in range(100):
         lattice = random_lattice((20, 20), float(rng.uniform(0.05, 0.95)), rng)
         nxt = step(lattice, tt)
-        states = np.vectorize(state_of)(m_field(lattice, tt)).astype(np.uint8)
+        states = np.vectorize(state_of)(m_field(lattice, profile)).astype(np.uint8)
         projection &= bool(np.array_equal(states, nxt))
     checks["projection invariant on 100 random lattices"] = projection
     for _ in range(5):

@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
 
+from lifelike import boolmin
 from lifelike.cli import main
+from lifelike.rules import format_rule_spec, gol_truth_table
 
 
 def run(capsys, *argv):
@@ -34,6 +37,29 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_import_dynamic_of_rule_without_lattice_exit_1(self, capsys, tmp_path):
+        rules_file = tmp_path / "r.txt"
+        rules_file.write_text("5\n")
+        code, out, err = run(
+            capsys, "import", str(rules_file), "--arity", "5", "--with-dynamic", "--size", "10x10"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "target", ["5", "[[1]]", "null", "[1, 2, 3]", '"x"', "[1, 2, 3, 4, 5, 6, 7, true]"]
+    )
+    def test_search_bad_target_exit_1(self, capsys, tmp_path, target):
+        out_path = tmp_path / "c.jsonl"
+        code, out, err = run(
+            capsys, "search", "--pop", "2", "--gens", "1", "--target", target, "--out", str(out_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
 
 class TestStatic:
     def test_rule_94(self, capsys):
@@ -61,6 +87,14 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "elem:94", "--emit-mtable")
         payload = json.loads(out)
         assert payload["mtable"] == [1, 4, 4, 4, 4, 2, 4, 2]
+
+    def test_moore_rule_minimized_once(self, capsys):
+        spec = format_rule_spec(gol_truth_table())
+        with mock.patch.object(boolmin, "minimize_detailed", wraps=boolmin.minimize_detailed) as spy:
+            code, out, _ = run(capsys, "analyze", spec, "--emit-mtable")
+        assert code == 0
+        assert len(json.loads(out)["mtable"]) == 512
+        assert spy.call_count == 1
 
 
 class TestDynamic:

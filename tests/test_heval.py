@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from lifelike.heval import (
     h_or,
     h_xor,
     m_truth_table,
+    rule_profile,
     validate_h,
 )
 from lifelike.rules import (
@@ -85,6 +87,27 @@ class TestProjectionInvariant:
         tt = elementary(rule)
         codes = m_truth_table(tt, mode)
         assert tuple(state_of(c) for c in codes) == tt.outputs
+
+
+class TestRuleProfile:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 0.9),
+        st.sampled_from(["greedy", "auto"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_nine_ary_minimization_is_sound(self, seed, density, mode):
+        # The path the genetic search runs: random 512-bit Moore rules.
+        bits = np.random.default_rng(seed).random(512) < density
+        tt = TruthTable(9, tuple(int(b) for b in bits))
+        profile = rule_profile(tt, mode)
+        rows = tuple(boolmin.eval_bool(profile.expr, index_to_cells(i, 9)) for i in range(512))
+        assert rows == tt.outputs
+        assert tuple(state_of(c) for c in profile.mcodes.tolist()) == tt.outputs
+        if mode == "greedy":
+            assert profile.cover_mode == "greedy"
+        else:
+            assert profile.cover_mode in ("exact", "greedy")
 
 
 class TestRule94:

@@ -14,7 +14,9 @@ from lifelike.measures import (
     feature_vector,
     static_measure,
 )
-from lifelike.rules import elementary, gol_truth_table
+from lifelike import measures
+from lifelike.heval import rule_profile
+from lifelike.rules import TruthTable, elementary, gol_truth_table
 
 # Published (stability, decrease, growth, chaoticity) vectors, static then
 # dynamic, of the search target and the four selected found rules.
@@ -58,18 +60,18 @@ class TestBehaviorVector:
 
 class TestStaticMeasure:
     def test_rule_94(self):
-        assert static_measure(elementary(94)).as_tuple() == (0.0, 12.5, 62.5, 25.0)
+        assert static_measure(rule_profile(elementary(94))).as_tuple() == (0.0, 12.5, 62.5, 25.0)
 
     def test_identity_rule_fully_stable(self):
-        assert static_measure(elementary(204)).stability == 100.0
+        assert static_measure(rule_profile(elementary(204))).stability == 100.0
 
     def test_gol_growth_exact(self):
-        me = static_measure(gol_truth_table(), "exact")
+        me = static_measure(rule_profile(gol_truth_table(), "exact"))
         assert me.stability == 0.0
         assert me.growth == pytest.approx(140 / 512 * 100)
 
     def test_gol_near_published(self):
-        me = static_measure(gol_truth_table(), "exact")
+        me = static_measure(rule_profile(gol_truth_table(), "exact"))
         assert me.decrease == pytest.approx(4.68, abs=2.0)
         assert me.chaoticity == pytest.approx(67.96, abs=2.0)
 
@@ -77,39 +79,50 @@ class TestStaticMeasure:
 class TestDynamicMeasure:
     def test_identity_rule_fully_stable(self):
         params = DynamicParams(runs=3, dims=64, max_steps=20, seed=0)
-        md = dynamic_measure(elementary(204), params)
+        md = dynamic_measure(rule_profile(elementary(204)), params)
         assert md.as_tuple() == (100.0, 0.0, 0.0, 0.0)
 
     def test_deterministic_per_seed(self):
         params = DynamicParams(runs=3, dims=(20, 20), max_steps=10, seed=9)
-        a = dynamic_measure(gol_truth_table(), params)
-        b = dynamic_measure(gol_truth_table(), params)
+        a = dynamic_measure(rule_profile(gol_truth_table()), params)
+        b = dynamic_measure(rule_profile(gol_truth_table()), params)
         assert a == b
 
     def test_seed_changes_result(self):
         p1 = DynamicParams(runs=2, dims=(20, 20), max_steps=10, seed=1)
         p2 = DynamicParams(runs=2, dims=(20, 20), max_steps=10, seed=2)
-        assert dynamic_measure(gol_truth_table(), p1) != dynamic_measure(
-            gol_truth_table(), p2
+        assert dynamic_measure(rule_profile(gol_truth_table()), p1) != dynamic_measure(
+            rule_profile(gol_truth_table()), p2
         )
 
     def test_rule_94_dynamic_behavior_ordering(self):
         # From a dense random start, rule 94 settles into mostly growing
         # regions with a chaotic fringe and little decrease.
         params = DynamicParams(runs=10, dims=200, max_steps=100, seed=1)
-        md = dynamic_measure(elementary(94), params)
+        md = dynamic_measure(rule_profile(elementary(94)), params)
         assert md.stability == 0.0
         assert md.growth > md.chaoticity > md.decrease
 
     def test_1d_dims_require_elementary(self):
         params = DynamicParams(runs=1, dims=32, max_steps=5, seed=0)
         with pytest.raises(MeasureError):
-            dynamic_measure(gol_truth_table(), params)
+            dynamic_measure(rule_profile(gol_truth_table()), params)
 
     def test_elementary_rule_rejects_2d_dims(self):
         params = DynamicParams(runs=2, dims=(10, 10), max_steps=5, seed=0)
         with pytest.raises(MeasureError):
-            dynamic_measure(elementary(110), params)
+            dynamic_measure(rule_profile(elementary(110)), params)
+
+    def test_rule_without_lattice_rejected_before_sampling(self, monkeypatch):
+        def no_lattice(*args):
+            raise AssertionError("a lattice was drawn")
+
+        monkeypatch.setattr(measures, "random_lattice", no_lattice)
+        profile = rule_profile(TruthTable(5, tuple(int(i % 3 == 0) for i in range(32))))
+        for dims in ((10, 10), 10):
+            params = DynamicParams(runs=2, dims=dims, max_steps=5, seed=0)
+            with pytest.raises(MeasureError):
+                dynamic_measure(profile, params)
 
     def test_param_validation(self):
         with pytest.raises(MeasureError):
@@ -149,7 +162,7 @@ class TestDynamicGolden:
     )
     def test_reproduces_recorded_vector(self, rule, kwargs, expected):
         tt = gol_truth_table() if rule == "gol" else elementary(110)
-        assert dynamic_measure(tt, DynamicParams(**kwargs)).as_tuple() == expected
+        assert dynamic_measure(rule_profile(tt), DynamicParams(**kwargs)).as_tuple() == expected
 
 
 class TestDistance:

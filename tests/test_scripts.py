@@ -1,0 +1,35 @@
+"""The scripts run end to end at tiny sizes."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_reproduce_gol_measures():
+    last = run_script("reproduce_gol_measures.py", "--runs", "2", "--size", "20", "20", "--steps", "5")
+    measures = json.loads(last)
+    assert set(measures) == {"static", "dynamic"}
+    assert all(len(v) == 4 for v in measures.values())
+
+
+def test_render_self_replicator(tmp_path):
+    out = tmp_path / "frames"
+    last = run_script(
+        "render_self_replicator.py", "--size", "20", "20", "--steps", "3", "--out", str(out)
+    )
+    assert last == f"wrote frames 0..3 (every 1) to {out}/"
+    assert (out / "mfield-0003.ppm").read_bytes().startswith(b"P6\n")

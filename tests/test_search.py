@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelike import boolmin
+from lifelike.rules import gol_truth_table
 from lifelike.search import (
     CHROMOSOME_BITS,
     GAConfig,
@@ -86,6 +89,14 @@ class TestEvaluate:
         evaluate(ind, SMALL)
         assert ind.fitness == math.inf
         assert not ind.stability_zero
+
+    def test_rule_minimized_once(self):
+        # The Game of Life has no static stability, so both measures run.
+        ind = Individual(gol_truth_table().as_array())
+        with mock.patch.object(boolmin, "minimize_detailed", wraps=boolmin.minimize_detailed) as spy:
+            evaluate(ind, SMALL)
+        assert ind.md is not None
+        assert spy.call_count == 1
 
     def test_reevaluation_is_reproducible(self):
         rng = np.random.default_rng(3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelike.heval import DEFAULT_TABLES
+from lifelike.heval import rule_profile
 from lifelike.rules import elementary, gol_truth_table, state_of
 from lifelike.simulator import (
     LatticeError,
@@ -15,9 +15,7 @@ from lifelike.simulator import (
     ppm_bytes,
     random_lattice,
     render_ppm,
-    mcode_lut,
     spacetime,
-    state_lut,
     step,
 )
 
@@ -127,11 +125,10 @@ class TestStacks:
 
 
 class TestLookupTables:
-    def test_cached_tables_are_read_only(self):
+    def test_profile_mcodes_are_read_only(self):
         tt = elementary(110)
-        for lut in (state_lut(tt), mcode_lut(tt, "auto", DEFAULT_TABLES)):
-            with pytest.raises(ValueError):
-                lut[0] = 1
+        with pytest.raises(ValueError):
+            rule_profile(tt).mcodes[0] = 1
         c = random_lattice(16, 0.5, np.random.default_rng(2))
         assert np.array_equal(step(c, tt), step_naive(c, tt))
 
@@ -139,40 +136,42 @@ class TestLookupTables:
 class TestMField:
     def test_state_projection_equals_step(self):
         tt = gol_truth_table()
+        profile = rule_profile(tt)
         rng = np.random.default_rng(0)
         for _ in range(10):
             c = random_lattice((12, 12), rng.uniform(0.1, 0.9), rng)
-            codes = m_field(c, tt)
+            codes = m_field(c, profile)
             states = np.vectorize(state_of)(codes).astype(np.uint8)
             assert np.array_equal(states, step(c, tt))
 
     def test_identity_rule_is_all_stable(self):
         c = random_lattice(32, 0.5, np.random.default_rng(1))
-        codes = m_field(c, elementary(204))
+        codes = m_field(c, rule_profile(elementary(204)))
         assert set(np.unique(codes)) <= {0, 5}
 
 
 class TestEvolve:
     def test_history_lengths(self):
-        h = evolve(place((6, 6), BLINKER), gol_truth_table(), 5, with_mfields=True)
+        h = evolve(place((6, 6), BLINKER), rule_profile(gol_truth_table()), 5)
         assert len(h.frames) == 6
         assert len(h.mfields) == 5
 
     def test_frames_and_fields_match_step_and_m_field(self):
         tt = gol_truth_table()
-        h = evolve(random_lattice((10, 12), 0.4, np.random.default_rng(3)), tt, 6, with_mfields=True)
+        profile = rule_profile(tt)
+        h = evolve(random_lattice((10, 12), 0.4, np.random.default_rng(3)), profile, 6)
         for t, field in enumerate(h.mfields):
-            assert np.array_equal(field, m_field(h.frames[t], tt))
+            assert np.array_equal(field, m_field(h.frames[t], profile))
             assert np.array_equal(h.frames[t + 1], step(h.frames[t], tt))
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
-            evolve(np.zeros(8, dtype=np.uint8), elementary(90), -1)
+            evolve(np.zeros(8, dtype=np.uint8), rule_profile(elementary(90)), -1)
 
     def test_spacetime_shapes(self):
-        h1 = evolve(random_lattice(20, 0.5, np.random.default_rng(0)), elementary(90), 7)
+        h1 = evolve(random_lattice(20, 0.5, np.random.default_rng(0)), rule_profile(elementary(90)), 7)
         assert spacetime(h1).shape == (8, 20)
-        h2 = evolve(place((6, 7), BLINKER), gol_truth_table(), 3)
+        h2 = evolve(place((6, 7), BLINKER), rule_profile(gol_truth_table()), 3)
         assert averaged_spacetime(h2).shape == (4, 7)
 
 
