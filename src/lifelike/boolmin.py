@@ -1,9 +1,11 @@
 """Minimal mixed-operator Boolean forms of truth tables.
 
-Pipeline: Quine-McCluskey prime implicants -> minimum sum-of-products
-cover (Petrick's method exactly, or a deterministic greedy fallback for
-large instances) -> XOR extraction (Shannon parity decomposition plus
-pairwise rewrites of complementary literal pairs).
+Pipeline: a table that is x ^ g for some variable x (Shannon parity
+split, lowest x first) becomes x ^ minimize(g) without being covered;
+any other table goes through Quine-McCluskey prime implicants -> minimum
+sum-of-products cover (Petrick's method exactly, or a deterministic greedy
+fallback for large instances) -> XOR extraction (pairwise rewrites of
+complementary literal pairs).
 
 Expressions are canonical: n-ary node children are sorted by a
 variable-index-lexicographic key and duplicates are removed, so identical
@@ -15,13 +17,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence, Union
 
-from .rules import TruthTable, index_to_cells, neighborhood_index
+import numpy as np
+
+from .rules import TruthTable
 
 #: Variable display names for elementary (arity 3) rules.
 ELEMENTARY_NAMES = ("p", "q", "r")
 
 #: Cap on Petrick product terms before exact covering gives up.
-DEFAULT_EXACT_BUDGET = 2_000
+EXACT_BUDGET = 2_000
+
+#: Accepted `mode` values of minimize and minimize_detailed.
+COVER_MODES = ("exact", "greedy", "auto")
 
 
 class CoverBudgetExceeded(RuntimeError):
@@ -317,13 +324,13 @@ def minimal_cover(
     primes: Sequence[Implicant],
     tt: TruthTable,
     mode: str = "exact",
-    budget: int = DEFAULT_EXACT_BUDGET,
 ) -> tuple[Implicant, ...]:
     """Select a cover of tt's on-set from its prime implicants.
 
     mode="exact" finds a minimum-cardinality cover via Petrick's method
     (ties: fewest literals, then lexicographically smallest cube list) and
-    raises CoverBudgetExceeded when the product grows past `budget`.
+    raises CoverBudgetExceeded when the product grows past EXACT_BUDGET
+    terms. minimize_detailed's "auto" then retries with mode="greedy".
     mode="greedy" takes the deterministic largest-gain set cover.
     """
     arity = tt.arity
@@ -369,8 +376,8 @@ def minimal_cover(
         products: set[frozenset[int]] = {frozenset()}
         for minterm in sorted(component, key=lambda m: len(hitmap[m])):
             expanded = {term | {i} for term in products for i in hitmap[minterm]}
-            if len(expanded) > budget:
-                raise CoverBudgetExceeded(f"Petrick product exceeded {budget} terms")
+            if len(expanded) > EXACT_BUDGET:
+                raise CoverBudgetExceeded(f"Petrick product exceeded {EXACT_BUDGET} terms")
             products = _absorb(expanded)
 
         def cover_key(term: frozenset[int]) -> tuple:
@@ -419,18 +426,6 @@ def _absorb(terms: set[frozenset[int]]) -> set[frozenset[int]]:
 
 
 # --- XOR extraction ---------------------------------------------------------
-
-def _cofactor(tt: TruthTable, var: int, bit: int) -> TruthTable:
-    """Sub-table with variable `var` fixed to `bit`, remaining variables
-    keeping their relative order."""
-    m = tt.arity
-    outputs = []
-    for idx in range(1 << (m - 1)):
-        cells = list(index_to_cells(idx, m - 1))
-        cells.insert(var, bit)
-        outputs.append(tt.outputs[neighborhood_index(cells)])
-    return TruthTable(m - 1, tuple(outputs))
-
 
 def _remap_vars(expr: BoolExpr, removed: int) -> BoolExpr:
     """Shift variable indices >= removed up by one (undo a cofactor)."""
@@ -510,33 +505,17 @@ def _merge_complementary(terms: list[_Term]) -> list[_Term]:
         terms = merged + [t for k, t in enumerate(terms) if k not in matched]
 
 
-def xor_extract(
-    tt: TruthTable,
-    sop: Sequence[Implicant],
-    mode: str = "auto",
-    budget: int = DEFAULT_EXACT_BUDGET,
-    _fallbacks: list | None = None,
-) -> BoolExpr:
+def xor_extract(sop: Sequence[Implicant], arity: int) -> BoolExpr:
     """Rewrite a minimal SOP cover into a mixed-operator expression.
 
-    In order: (a) top-down Shannon parity decomposition on the lowest
-    variable x with f|x=0 == NOT(f|x=1); (b) fixpoint of pairwise rewrites
-    (a & !b) | (!a & b) -> a ^ b over complementary literal pairs; (c) the
-    rest stays as an Or of And terms.
+    Pairwise rewrites (a & !b) | (!a & b) -> a ^ b over complementary
+    literal pairs run to a fixpoint; the rest stays as an Or of And terms.
     """
-    m = tt.arity
-    for var in range(m):
-        f0 = _cofactor(tt, var, 0)
-        f1 = _cofactor(tt, var, 1)
-        if all(a != b for a, b in zip(f0.outputs, f1.outputs)):
-            sub = _minimize(f0, mode, budget, _fallbacks)
-            return make_xor([Var(var), _remap_vars(sub, var)])
-
     terms = []
     for imp in sop:
         literals = set()
-        for j in range(m):
-            bit = 1 << (m - 1 - j)
+        for j in range(arity):
+            bit = 1 << (arity - 1 - j)
             if imp.mask & bit:
                 literals.add((j, 1 if imp.value & bit else 0))
         terms.append(_Term(frozenset(literals), frozenset()))
@@ -544,46 +523,47 @@ def xor_extract(
     return make_or([t.to_expr() for t in terms])
 
 
-def _minimize(
-    tt: TruthTable, mode: str, budget: int, fallbacks: list | None
-) -> BoolExpr:
+def _minimize(tt: TruthTable, mode: str) -> tuple[BoolExpr, str]:
+    """(expression, cover mode used) for a mode from COVER_MODES."""
+    used = "greedy" if mode == "greedy" else "exact"
     if not any(tt.outputs):
-        return Const(0)
+        return Const(0), used
     if all(tt.outputs):
-        return Const(1)
+        return Const(1), used
+    m = tt.arity
+    # Axis j of the (2,)*m view is variable j (index bit m-1-j): index 0
+    # along it is the cofactor x_j = 0, other variables in order.
+    table = tt.as_array().reshape((2,) * m)
+    for var in range(m):
+        f0 = table.take(0, axis=var)
+        if (f0 != table.take(1, axis=var)).all():
+            sub, used = _minimize(TruthTable(m - 1, tuple(f0.ravel().tolist())), mode)
+            return make_xor([Var(var), _remap_vars(sub, var)]), used
     primes = prime_implicants(tt)
-    if mode == "auto":
-        try:
-            cover = minimal_cover(primes, tt, "exact", budget)
-        except CoverBudgetExceeded:
-            if fallbacks is not None:
-                fallbacks.append(tt.arity)
-            cover = minimal_cover(primes, tt, "greedy")
-    else:
-        cover = minimal_cover(primes, tt, mode, budget)
-    return xor_extract(tt, cover, mode, budget, fallbacks)
+    try:
+        cover = minimal_cover(primes, tt, used)
+    except CoverBudgetExceeded:
+        if mode != "auto":
+            raise
+        used = "greedy"
+        cover = minimal_cover(primes, tt, used)
+    return xor_extract(cover, m), used
 
 
-def minimize(tt: TruthTable, mode: str = "auto", budget: int = DEFAULT_EXACT_BUDGET) -> BoolExpr:
+def minimize(tt: TruthTable, mode: str = "auto") -> BoolExpr:
     """Minimal mixed-operator expression of a truth table.
 
-    mode: "exact" | "greedy" | "auto" (exact within budget, then greedy).
+    mode: "exact" | "greedy" | "auto" (exact within EXACT_BUDGET, then
+    greedy). A parity split x ^ g is taken before any covering, so only
+    g is covered.
     """
-    expr, _ = minimize_detailed(tt, mode, budget)
+    expr, _ = minimize_detailed(tt, mode)
     return expr
 
 
-def minimize_detailed(
-    tt: TruthTable, mode: str = "auto", budget: int = DEFAULT_EXACT_BUDGET
-) -> tuple[BoolExpr, str]:
+def minimize_detailed(tt: TruthTable, mode: str = "auto") -> tuple[BoolExpr, str]:
     """Like minimize, also reporting the cover mode actually used
-    ("exact" or "greedy")."""
-    fallbacks: list[int] = []
-    expr = _minimize(tt, mode, budget, fallbacks)
-    if mode == "greedy":
-        used = "greedy"
-    elif mode == "exact":
-        used = "exact"
-    else:
-        used = "greedy" if fallbacks else "exact"
-    return expr, used
+    ("exact" or "greedy") for the table that was covered."""
+    if mode not in COVER_MODES:
+        raise ValueError(f"unknown cover mode {mode!r}")
+    return _minimize(tt, mode)

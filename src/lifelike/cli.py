@@ -50,7 +50,7 @@ def _cover_arg(
 ) -> None:
     parser.add_argument(
         "--cover-mode",
-        choices=("exact", "greedy", "auto"),
+        choices=boolmin.COVER_MODES,
         default="auto",
         help=help_text,
     )

@@ -72,6 +72,8 @@ class GAConfig:
             raise ValueError("mutation probability must lie in [0, 1]")
         if self.dyn_runs < 1:
             raise ValueError("dynamic sampling needs at least one run")
+        if self.keep < 0:
+            raise ValueError("keep must be >= 0")
         if len(self.target) != 8:
             raise ValueError("target must be an 8-component feature vector")
 

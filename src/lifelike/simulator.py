@@ -62,7 +62,12 @@ def _check_dims(c: np.ndarray, tt: TruthTable) -> int:
 def random_lattice(
     dims: int | tuple[int, int], density: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random 0/1 lattice with i.i.d. live probability `density`."""
+    """Random 0/1 lattice with i.i.d. live probability `density` in [0, 1];
+    every dimension must be at least 1."""
+    if not 0.0 <= density <= 1.0:
+        raise LatticeError(f"density must lie in [0, 1], got {density}")
+    if np.any(np.asarray(dims) < 1):
+        raise LatticeError(f"lattice dimensions must be >= 1, got {dims}")
     return (rng.random(dims) < density).astype(np.uint8)
 
 

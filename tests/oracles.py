@@ -1,4 +1,5 @@
-"""Per-cell reference engines that the vectorized simulator is checked against."""
+"""Per-cell reference engines that the vectorized simulator is checked
+against, and seeded tables that more than one test file needs."""
 import numpy as np
 
 from lifelike.rules import TruthTable, neighborhood_index
@@ -27,3 +28,13 @@ def step_naive(c: np.ndarray, tt: TruthTable) -> np.ndarray:
     """Reference engine: per-cell Python loop over one lattice."""
     outputs = np.array(tt.outputs, dtype=np.uint8)
     return outputs[index_field_naive(c)]
+
+
+def parity_split_table(seed: int) -> TruthTable:
+    """x0 ^ g for a seeded sparse 8-input g (density 0.08).
+
+    Exact covering of the whole 512-row table exceeds the Petrick budget;
+    covering g alone stays well inside it.
+    """
+    g = np.random.default_rng(seed).random(256) < 0.08
+    return TruthTable(9, tuple(int(b) for b in np.concatenate([g, ~g])))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from lifelike.boolmin import (
     And,
     Const,
+    CoverBudgetExceeded,
     Implicant,
     Not,
     Or,
@@ -26,6 +29,8 @@ from lifelike.boolmin import (
     xor_extract,
 )
 from lifelike.rules import TruthTable, elementary, gol_truth_table, index_to_cells
+
+from oracles import parity_split_table
 
 
 def exhaustive_equal(expr, tt: TruthTable) -> bool:
@@ -152,6 +157,11 @@ class TestXorExtract:
         e = minimize(elementary(90), "exact")
         assert e == make_xor([Var(0), Var(2)])
 
+    def test_rewrites_exact_cover_of_rule_94(self):
+        tt = elementary(94)
+        cover = minimal_cover(list(prime_implicants(tt)), tt, "exact")
+        assert format_expr(xor_extract(cover, 3), 3) == "(!p & q) | (p ^ r)"
+
     def test_extraction_never_breaks_semantics(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -189,6 +199,10 @@ class TestMinimize:
         _, mode = minimize_detailed(elementary(110), "greedy")
         assert mode == "greedy"
 
+    def test_unknown_mode_rejected_for_constant_table(self):
+        with pytest.raises(ValueError):
+            minimize_detailed(elementary(0), "fast")
+
     def test_auto_falls_back_to_greedy_when_budget_exceeded(self):
         rng = np.random.default_rng(0)
         bits = tuple(int(b) for b in rng.integers(0, 2, size=512))
@@ -196,6 +210,16 @@ class TestMinimize:
         expr, mode = minimize_detailed(tt, "auto")
         assert mode in ("exact", "greedy")
         assert eval_bool(expr, index_to_cells(0, 9)) == tt.outputs[0]
+
+    def test_parity_split_is_taken_before_covering(self):
+        # Covering the whole table would exceed the exact budget; only the
+        # cofactor g of tt = x0 ^ g is covered.
+        tt = parity_split_table(0)
+        expr, used = minimize_detailed(tt, "exact")
+        assert used == "exact"
+        assert format_expr(expr, 9).startswith("x0 ^ ")
+        assert minimize_detailed(tt, "auto") == (expr, "exact")
+        assert exhaustive_equal(expr, tt)
 
     def test_gol_exact_cover(self):
         expr, mode = minimize_detailed(gol_truth_table(), "auto")
@@ -234,3 +258,62 @@ class TestMinimize:
         b = minimize(elementary(110), "exact")
         assert a == b
         assert format_expr(a, 3) == format_expr(b, 3)
+
+
+def _moore_table(density: float, seed: int) -> TruthTable:
+    rng = np.random.default_rng([round(10 * density), seed])
+    return TruthTable(9, tuple(int(b) for b in rng.random(512) < density))
+
+
+def _digest(tt: TruthTable, mode: str) -> str:
+    """sha256 prefix of repr(expr) + used mode, or of the budget message."""
+    try:
+        expr, used = minimize_detailed(tt, mode)
+        text = repr(expr) + used
+    except CoverBudgetExceeded as exc:
+        text = str(exc)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (exact, greedy, auto) digests, recorded before the Shannon parity split
+# moved ahead of covering. "elementary" hashes the digests of rules 0-255;
+# (density, seed) keys are random 9-ary tables. Denser tables get three
+# seeds, not five: each runs two failing exact attempts (~0.3 s).
+GOLDEN_MINIMIZE = {
+    "elementary": ("e729f195c20eee4a", "36d736f11e1ab57b", "e729f195c20eee4a"),
+    "gol": ("f3307c4396c7343a", "b0ce1fe1555d9401", "f3307c4396c7343a"),
+    (0.1, 0): ("92dee2a85f3353f2", "bcc62dafe190fc28", "92dee2a85f3353f2"),
+    (0.1, 1): ("f996165449907924", "8a69580ad0e82caa", "f996165449907924"),
+    (0.1, 2): ("6e2c6ee10618d62d", "d139d3416fb8808b", "6e2c6ee10618d62d"),
+    (0.1, 3): ("e571c57915ca6132", "047d560719d8643c", "e571c57915ca6132"),
+    (0.1, 4): ("1cce68fcfa0b4837", "c10bc339680f934a", "1cce68fcfa0b4837"),
+    (0.3, 0): ("84cff28a2e489ad2", "44274f735281af68", "44274f735281af68"),
+    (0.3, 1): ("84cff28a2e489ad2", "3193e256fede5455", "3193e256fede5455"),
+    (0.3, 2): ("c8aa682d8a133573", "28ebb4006423a954", "c8aa682d8a133573"),
+    (0.5, 0): ("84cff28a2e489ad2", "e9b924146f58f7f1", "e9b924146f58f7f1"),
+    (0.5, 1): ("84cff28a2e489ad2", "2df925cb61b02596", "2df925cb61b02596"),
+    (0.5, 2): ("84cff28a2e489ad2", "ba171652d0976aff", "ba171652d0976aff"),
+    (0.7, 0): ("84cff28a2e489ad2", "7cfcd92fdfb9847d", "7cfcd92fdfb9847d"),
+    (0.7, 1): ("84cff28a2e489ad2", "5a5093a59fbb16ed", "5a5093a59fbb16ed"),
+    (0.7, 2): ("84cff28a2e489ad2", "6afecb571f5df454", "6afecb571f5df454"),
+    (0.9, 0): ("84cff28a2e489ad2", "995d084b86bc9c2b", "995d084b86bc9c2b"),
+    (0.9, 1): ("84cff28a2e489ad2", "06e100eacf6bb396", "06e100eacf6bb396"),
+    (0.9, 2): ("84cff28a2e489ad2", "5755d5ca20350b65", "5755d5ca20350b65"),
+}
+
+
+class TestMinimizeGolden:
+    @pytest.mark.parametrize("case", list(GOLDEN_MINIMIZE), ids=str)
+    def test_reproduces_recorded_digests(self, case):
+        modes = ("exact", "greedy", "auto")
+        if case == "elementary":
+            got = tuple(
+                hashlib.sha256(
+                    "".join(_digest(elementary(r), m) for r in range(256)).encode()
+                ).hexdigest()[:16]
+                for m in modes
+            )
+        else:
+            tt = gol_truth_table() if case == "gol" else _moore_table(*case)
+            got = tuple(_digest(tt, m) for m in modes)
+        assert got == GOLDEN_MINIMIZE[case]

@@ -7,6 +7,8 @@ from lifelike import boolmin
 from lifelike.cli import main
 from lifelike.rules import format_rule_spec, gol_truth_table
 
+from oracles import parity_split_table
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -88,6 +90,13 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["mtable"] == [1, 4, 4, 4, 4, 2, 4, 2]
 
+    def test_exact_mode_on_parity_split_table(self, capsys, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("".join(str(b) for b in parity_split_table(0).outputs))
+        code, out, _ = run(capsys, "analyze", f"table:{path}", "--cover-mode", "exact")
+        assert code == 0
+        assert json.loads(out)["cover_mode"] == "exact"
+
     def test_moore_rule_minimized_once(self, capsys):
         spec = format_rule_spec(gol_truth_table())
         with mock.patch.object(boolmin, "minimize_detailed", wraps=boolmin.minimize_detailed) as spy:
@@ -134,6 +143,27 @@ class TestSimulate:
         assert "spacetime.ppm" in payload["files"]
         assert (out_dir / "spacetime.ppm").read_bytes().startswith(b"P6\n")
 
+    @pytest.mark.parametrize(
+        "rule,size,density",
+        [
+            ("elem:110", "8", "1.5"),
+            ("elem:110", "8", "-1"),
+            ("elem:110", "0", "0.5"),
+            (format_rule_spec(gol_truth_table()), "0x0", "0.5"),
+        ],
+        ids=["density-above-1", "density-negative", "size-0", "size-0x0"],
+    )
+    def test_bad_density_or_size_exit_1(self, capsys, tmp_path, rule, size, density):
+        out_dir = tmp_path / "frames"
+        code, out, err = run(
+            capsys, "simulate", rule,
+            "--size", size, "--steps", "2", "--density", density, "--out", str(out_dir),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_2d_pattern_seed(self, capsys, tmp_path):
         pattern = tmp_path / "blinker.txt"
         pattern.write_text("00000\n01110\n00000\n")
@@ -160,6 +190,17 @@ class TestValidateH:
 
 
 class TestSearch:
+    def test_negative_keep_exit_1(self, capsys, tmp_path):
+        out_path = tmp_path / "catalog.jsonl"
+        code, out, err = run(
+            capsys, "search", "--pop", "6", "--gens", "2", "--runs", "1", "--size", "12x12",
+            "--steps", "4", "--seed", "3", "--keep", "-1", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_small_search_writes_catalog(self, capsys, tmp_path):
         out_path = tmp_path / "catalog.jsonl"
         args = (

@@ -85,6 +85,20 @@ class TestEngines:
         with pytest.raises(LatticeError):
             step(np.zeros(8, dtype=np.uint8), gol_truth_table())
 
+    @pytest.mark.parametrize(
+        "dims,density",
+        [(8, 1.5), (8, -0.1), (8, float("nan")), (0, 0.5), ((0, 0), 0.5), ((4, 0), 0.5)],
+        ids=["density-1.5", "density-negative", "density-nan", "size-0", "size-0x0", "size-4x0"],
+    )
+    def test_random_lattice_rejects_bad_density_or_size(self, dims, density):
+        with pytest.raises(LatticeError):
+            random_lattice(dims, density, np.random.default_rng(0))
+
+    def test_random_lattice_accepts_density_bounds(self):
+        rng = np.random.default_rng(0)
+        assert not random_lattice((1, 1), 0.0, rng).any()
+        assert random_lattice(3, 1.0, rng).all()
+
 
 class TestNeighborhoodIndexField:
     def test_single_live_cell_indices(self):
