@@ -15,7 +15,7 @@ from .boolmin import (
     minimize_detailed,
 )
 from .catalog import CatalogError, CatalogRecord, import_published_rules, read_catalog, write_catalog
-from .heval import DEFAULT_TABLES, HTables, RuleProfile, eval_g, m_truth_table, rule_profile, validate_h
+from .heval import DEFAULT_TABLES, HTables, RuleProfile, rule_profile, validate_h
 from .measures import (
     GOL_TARGET,
     BehaviorVector,
@@ -75,7 +75,6 @@ __all__ = [
     "dynamic_measure",
     "elementary",
     "encode_rule_number",
-    "eval_g",
     "evolve",
     "feature_vector",
     "format_expr",
@@ -84,7 +83,6 @@ __all__ = [
     "import_published_rules",
     "leaf_count",
     "m_field",
-    "m_truth_table",
     "minimize",
     "minimize_detailed",
     "parse_rule_spec",

@@ -7,6 +7,11 @@ sum-of-products cover (Petrick's method exactly, or a deterministic greedy
 fallback for large instances) -> XOR extraction (pairwise rewrites of
 complementary literal pairs).
 
+A cube is one (mask, value) pair of ints from the prime implicants to
+the XOR terms. Covering reads a bool primes x minterms coverage matrix;
+XOR extraction keeps (mask, value, xors) terms, xors a sorted tuple of
+(a, b) variable pairs, and tests merges only inside (mask, xors) buckets.
+
 Expressions are canonical: n-ary node children are sorted by a
 variable-index-lexicographic key and duplicates are removed, so identical
 truth tables always minimize to structurally identical trees.
@@ -274,18 +279,6 @@ class Implicant:
                 literals.append(var if self.value & bit else make_not(var))
         return make_and(literals) if literals else Const(1)
 
-    def coverage_mask(self, arity: int) -> int:
-        """Bitmask over all 2^arity minterms covered by this cube."""
-        free = [arity - 1 - j for j in range(arity) if not self.mask & (1 << (arity - 1 - j))]
-        cover = 0
-        for combo in range(1 << len(free)):
-            minterm = self.value
-            for i, pos in enumerate(free):
-                if (combo >> i) & 1:
-                    minterm |= 1 << pos
-            cover |= 1 << minterm
-        return cover
-
 
 def prime_implicants(tt: TruthTable) -> frozenset[Implicant]:
     """Complete prime implicant set of the on-set (Quine-McCluskey)."""
@@ -331,42 +324,42 @@ def minimal_cover(
     (ties: fewest literals, then lexicographically smallest cube list) and
     raises CoverBudgetExceeded when the product grows past EXACT_BUDGET
     terms. minimize_detailed's "auto" then retries with mode="greedy".
-    mode="greedy" takes the deterministic largest-gain set cover.
+    mode="greedy" takes the deterministic largest-gain set cover: each
+    pick is the first prime (in cube_key order) of largest gain.
+
+    Both modes read one bool matrix, coverage[i, minterm], over the primes
+    in cube_key order and all 2^arity minterms, False off the on-set.
+    ValueError: the primes do not cover the on-set, or mode is unknown.
     """
+    if mode not in ("exact", "greedy"):
+        raise ValueError(f"unknown cover mode {mode!r}")
     arity = tt.arity
     ordered = _sorted_primes(primes, arity)
-    onset_mask = 0
-    for i in tt.onset:
-        onset_mask |= 1 << i
-    coverage = [p.coverage_mask(arity) & onset_mask for p in ordered]
+    masks = np.array([p.mask for p in ordered], dtype=np.uint16)
+    values = np.array([p.value for p in ordered], dtype=np.uint16)
+    onset = tt.as_array().astype(bool)
+    minterms = np.arange(1 << arity, dtype=np.uint16)
+    coverage = ((minterms & masks[:, None]) == values[:, None]) & onset
+    if (coverage.any(axis=0) != onset).any():
+        raise ValueError("primes do not cover the on-set")
 
     if mode == "greedy":
         chosen: list[int] = []
-        uncovered = onset_mask
-        while uncovered:
-            best = max(range(len(ordered)), key=lambda i: (coverage[i] & uncovered).bit_count())
-            if not coverage[best] & uncovered:
-                raise ValueError("primes do not cover the on-set")
+        gains = coverage.sum(axis=1)
+        uncovered = onset.copy()
+        while uncovered.any():
+            best = int(np.argmax(gains))
+            newly = coverage[best] & uncovered
             chosen.append(best)
-            uncovered &= ~coverage[best]
+            uncovered &= ~newly
+            gains -= coverage[:, newly].sum(axis=1)
         return tuple(ordered[i] for i in sorted(chosen))
-    if mode != "exact":
-        raise ValueError(f"unknown cover mode {mode!r}")
 
     # Essential primes are forced into every cover.
-    hitmap: dict[int, list[int]] = {}
-    essential: set[int] = set()
-    for minterm in tt.onset:
-        hits = [i for i, c in enumerate(coverage) if c >> minterm & 1]
-        if not hits:
-            raise ValueError("primes do not cover the on-set")
-        hitmap[minterm] = hits
-        if len(hits) == 1:
-            essential.add(hits[0])
-    covered = 0
-    for i in essential:
-        covered |= coverage[i]
-    remaining = [m for m in tt.onset if not covered >> m & 1]
+    hitmap = {m: np.flatnonzero(coverage[:, m]).tolist() for m in tt.onset}
+    essential = {hits[0] for hits in hitmap.values() if len(hits) == 1}
+    covered = coverage[sorted(essential)].any(axis=0)
+    remaining = [m for m in tt.onset if not covered[m]]
 
     # Petrick's method on the cyclic core, run independently per connected
     # component (minterms linked through shared primes). Products are kept
@@ -439,68 +432,63 @@ def _remap_vars(expr: BoolExpr, removed: int) -> BoolExpr:
     return ctor([_remap_vars(c, removed) for c in expr.children])
 
 
-@dataclass(frozen=True)
-class _Term:
-    """A product term: plain literals plus two-variable XOR factors."""
-
-    literals: frozenset[tuple[int, int]]  # (variable, polarity)
-    xors: frozenset[frozenset[int]]
-
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(self.literals)),
-            tuple(sorted(tuple(sorted(g)) for g in self.xors)),
-        )
-
-    def to_expr(self) -> BoolExpr:
-        factors: list[BoolExpr] = []
-        for var, pol in self.literals:
-            factors.append(Var(var) if pol else make_not(Var(var)))
-        for group in self.xors:
-            factors.append(make_xor([Var(v) for v in group]))
-        return make_and(factors) if factors else Const(1)
+def _term_key(term: tuple, arity: int) -> tuple:
+    """Sort key of a (mask, value, xors) term: its (variable, bit) literals
+    in variable order, then its sorted XOR pairs."""
+    mask, value, xors = term
+    literals = tuple(
+        (j, value >> (arity - 1 - j) & 1) for j in range(arity) if mask >> (arity - 1 - j) & 1
+    )
+    return (literals, xors)
 
 
-def _try_merge(t1: _Term, t2: _Term) -> _Term | None:
-    """X&a&!b | X&!a&b -> X&(a^b), or None when the pair does not match."""
-    if t1.xors != t2.xors:
-        return None
-    only1 = t1.literals - t2.literals
-    only2 = t2.literals - t1.literals
-    if len(only1) != 2 or len(only2) != 2:
-        return None
-    if {(v, 1 - p) for v, p in only1} != only2:
-        return None
-    vars_ = {v for v, _ in only1}
-    if len(vars_) != 2 or sorted(p for _, p in only1) != [0, 1]:
-        return None
-    return _Term(t1.literals & t2.literals, t1.xors | {frozenset(vars_)})
+def _mergeable(v1: int, v2: int) -> bool:
+    """Values of one (mask, xors) bucket that read X&a&!b and X&!a&b."""
+    d = v1 ^ v2
+    return d.bit_count() == 2 and (v1 & d).bit_count() == 1
 
 
-def _merge_complementary(terms: list[_Term]) -> list[_Term]:
+def _merge_pair(t1: tuple, t2: tuple, arity: int) -> tuple:
+    """X&a&!b | X&!a&b -> X&(a^b): drop a and b from the cube, add the pair."""
+    mask, v1, xors = t1
+    d = v1 ^ t2[1]
+    pair = (arity - d.bit_length(), arity - (d & -d).bit_length())
+    return (mask & ~d, v1 & ~d, tuple(sorted(xors + (pair,))))
+
+
+def _merge_complementary(terms: list[tuple], arity: int) -> list[tuple]:
     """Rewrite complementary-pair products into XOR factors.
 
-    Each round takes a maximum matching of the mergeable-pair graph (a
-    greedy first-fit scan strands pairs and loses XOR factors on large
-    symmetric covers); rounds repeat until no pair merges. Terms are kept
-    canonically sorted so the matching is deterministic.
+    Only terms with the same mask and XOR pairs can merge, so pairs are
+    tested inside (mask, xors) buckets. Each round takes a maximum
+    matching of the mergeable-pair graph (a greedy first-fit scan strands
+    pairs and loses XOR factors on large symmetric covers); rounds repeat
+    until no pair merges. Terms are kept canonically sorted and edges are
+    added in sorted order, so the matching is deterministic.
     """
     import networkx as nx
 
     while True:
-        terms.sort(key=_Term.key)
+        terms.sort(key=lambda t: _term_key(t, arity))
+        buckets: dict[tuple, list[int]] = {}
+        for i, (mask, _, xors) in enumerate(terms):
+            buckets.setdefault((mask, xors), []).append(i)
+        edges = sorted(
+            (i, j)
+            for bucket in buckets.values()
+            for i, j in combinations(bucket, 2)
+            if _mergeable(terms[i][1], terms[j][1])
+        )
+        if not edges:
+            return terms
         graph = nx.Graph()
         graph.add_nodes_from(range(len(terms)))
-        for i, j in combinations(range(len(terms)), 2):
-            if _try_merge(terms[i], terms[j]) is not None:
-                graph.add_edge(i, j)
-        if not graph.edges:
-            return terms
+        graph.add_edges_from(edges)
         matching = nx.max_weight_matching(graph, maxcardinality=True)
         matched: set[int] = set()
-        merged: list[_Term] = []
+        merged: list[tuple] = []
         for i, j in sorted(tuple(sorted(pair)) for pair in matching):
-            merged.append(_try_merge(terms[i], terms[j]))
+            merged.append(_merge_pair(terms[i], terms[j], arity))
             matched.update((i, j))
         terms = merged + [t for k, t in enumerate(terms) if k not in matched]
 
@@ -508,19 +496,16 @@ def _merge_complementary(terms: list[_Term]) -> list[_Term]:
 def xor_extract(sop: Sequence[Implicant], arity: int) -> BoolExpr:
     """Rewrite a minimal SOP cover into a mixed-operator expression.
 
+    Each cube becomes a (mask, value, xors) term: the Implicant's cube
+    and a sorted tuple of (a, b) variable pairs, one factor a ^ b each.
     Pairwise rewrites (a & !b) | (!a & b) -> a ^ b over complementary
     literal pairs run to a fixpoint; the rest stays as an Or of And terms.
     """
-    terms = []
-    for imp in sop:
-        literals = set()
-        for j in range(arity):
-            bit = 1 << (arity - 1 - j)
-            if imp.mask & bit:
-                literals.add((j, 1 if imp.value & bit else 0))
-        terms.append(_Term(frozenset(literals), frozenset()))
-    terms = _merge_complementary(terms)
-    return make_or([t.to_expr() for t in terms])
+    products = []
+    for mask, value, xors in _merge_complementary([(c.mask, c.value, ()) for c in sop], arity):
+        factors = [make_xor([Var(a), Var(b)]) for a, b in xors]
+        products.append(make_and([Implicant(mask, value).to_expr(arity), *factors]))
+    return make_or(products)
 
 
 def _minimize(tt: TruthTable, mode: str) -> tuple[BoolExpr, str]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -226,13 +227,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_target(text: str) -> tuple[float, ...]:
-    """--target: a JSON array of 8 numbers."""
-    values = json.loads(text)
+    """--target: a JSON array of 8 finite numbers.
+
+    Integers parse as floats, so one too large for a float reads as
+    infinite and is rejected like NaN and Infinity.
+    """
+    values = json.loads(text, parse_int=float)
     if not isinstance(values, list) or len(values) != 8 or any(
-        type(v) not in (int, float) for v in values
+        type(v) is not float or not math.isfinite(v) for v in values
     ):
-        raise ValueError(f"--target must be a JSON array of 8 numbers, got {text!r}")
-    return tuple(float(v) for v in values)
+        raise ValueError(f"--target must be a JSON array of 8 finite numbers, got {text!r}")
+    return tuple(values)
 
 
 def _cmd_search(args) -> int:

@@ -34,8 +34,6 @@ from .rules import (
     state_of,
 )
 
-LEAF_CODES = (0, 5)  # bit 0 -> {0, stable}, bit 1 -> {1, stable}
-
 
 def _severity(codes: Sequence[int]) -> int:
     """State-0 result code under chaotic > decrease > stable."""
@@ -126,22 +124,6 @@ class HTables:
 DEFAULT_TABLES = HTables()
 
 
-def h_not(a: int, tables: HTables = DEFAULT_TABLES) -> int:
-    return int(tables.not_table[a])
-
-
-def h_and(a: int, b: int, tables: HTables = DEFAULT_TABLES) -> int:
-    return int(tables.and_table[a, b])
-
-
-def h_or(a: int, b: int, tables: HTables = DEFAULT_TABLES) -> int:
-    return int(tables.or_table[a, b])
-
-
-def h_xor(a: int, b: int, tables: HTables = DEFAULT_TABLES) -> int:
-    return int(tables.xor_table[a, b])
-
-
 def _eval_vec(expr: BoolExpr, leaves: np.ndarray, tables: HTables) -> np.ndarray:
     """Evaluate over a batch: leaves has shape (n_assignments, arity)."""
     if isinstance(expr, boolmin.Var):
@@ -160,16 +142,6 @@ def _eval_vec(expr: BoolExpr, leaves: np.ndarray, tables: HTables) -> np.ndarray
     for child in expr.children[1:]:
         acc = table[acc, _eval_vec(child, leaves, tables)]
     return acc
-
-
-def eval_g(
-    expr: BoolExpr, input_bits: Sequence[int], tables: HTables = DEFAULT_TABLES
-) -> int:
-    """M code of one neighborhood under a minimized expression tree."""
-    leaves = np.array([[LEAF_CODES[b] for b in input_bits]], dtype=np.uint8)
-    if leaves.shape[1] == 0:
-        leaves = leaves.reshape(1, 0)
-    return int(_eval_vec(expr, leaves, tables)[0])
 
 
 def eval_g_all(expr: BoolExpr, arity: int, tables: HTables = DEFAULT_TABLES) -> np.ndarray:
@@ -206,27 +178,6 @@ def rule_profile(
     return RuleProfile(tt, expr, used_mode, mcodes)
 
 
-def m_truth_table(
-    tt: TruthTable, mode: str = "auto", tables: HTables = DEFAULT_TABLES
-) -> tuple[int, ...]:
-    """The truth table re-coded over M, one code per neighborhood index."""
-    return tuple(rule_profile(tt, mode, tables).mcodes.tolist())
-
-
-def behavior_counts(codes: Sequence[int]) -> dict[str, int]:
-    counts = {"stability": 0, "decrease": 0, "growth": 0, "chaoticity": 0}
-    for c in codes:
-        if c in CHAOTIC_CODES:
-            counts["chaoticity"] += 1
-        elif c in DECREASE_CODES:
-            counts["decrease"] += 1
-        elif c in GROWTH_CODES:
-            counts["growth"] += 1
-        else:
-            counts["stability"] += 1
-    return counts
-
-
 # --- constraint suite -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -237,9 +188,9 @@ class ConstraintResult:
     actual: str
 
 
-def _fraction(tt: TruthTable, behavior: str, tables: HTables) -> float:
-    codes = m_truth_table(tt, "exact", tables)
-    return behavior_counts(codes)[behavior] / len(codes)
+def _mcodes(rule: int, tables: HTables) -> tuple[int, ...]:
+    """M-coded table of an elementary rule under an exact cover."""
+    return tuple(rule_profile(elementary(rule), "exact", tables).mcodes.tolist())
 
 
 def validate_h(tables: HTables = DEFAULT_TABLES) -> list[ConstraintResult]:
@@ -256,37 +207,30 @@ def validate_h(tables: HTables = DEFAULT_TABLES) -> list[ConstraintResult]:
             ConstraintResult(name, expected == actual, repr(expected), repr(actual))
         )
 
-    leaf0 = eval_g(boolmin.Var(0), (0,), tables)
-    leaf1 = eval_g(boolmin.Var(0), (1,), tables)
-    check("leaf mapping 0->M0, 1->M5", (0, 5), (leaf0, leaf1))
+    leaves = tuple(eval_g_all(boolmin.Var(0), 1, tables).tolist())
+    check("leaf mapping 0->M0, 1->M5", (0, 5), leaves)
 
     fractions = [
-        ("rule 150 chaoticity", "chaoticity", 150, 0.375),
-        ("rule 90 chaoticity", "chaoticity", 90, 0.25),
-        ("rule 204 chaoticity", "chaoticity", 204, 0.0),
-        ("rule 204 decrease", "decrease", 204, 0.0),
-        ("rule 128 decrease", "decrease", 128, 0.75),
-        ("rule 160 decrease", "decrease", 160, 0.5),
-        ("rule 254 growth", "growth", 254, 0.75),
-        ("rule 250 growth", "growth", 250, 0.5),
+        ("rule 150 chaoticity", CHAOTIC_CODES, 150, 0.375),
+        ("rule 90 chaoticity", CHAOTIC_CODES, 90, 0.25),
+        ("rule 204 chaoticity", CHAOTIC_CODES, 204, 0.0),
+        ("rule 204 decrease", DECREASE_CODES, 204, 0.0),
+        ("rule 128 decrease", DECREASE_CODES, 128, 0.75),
+        ("rule 160 decrease", DECREASE_CODES, 160, 0.5),
+        ("rule 254 growth", GROWTH_CODES, 254, 0.75),
+        ("rule 250 growth", GROWTH_CODES, 250, 0.5),
     ]
-    for name, behavior, rule, expected in fractions:
-        check(name, expected, _fraction(elementary(rule), behavior, tables))
+    for name, codes, rule, expected in fractions:
+        check(name, expected, sum(c in codes for c in _mcodes(rule, tables)) / 8)
 
-    check(
-        "rule 94 M-coded table",
-        (1, 4, 4, 4, 4, 2, 4, 2),
-        m_truth_table(elementary(94), "exact", tables),
-    )
+    check("rule 94 M-coded table", (1, 4, 4, 4, 4, 2, 4, 2), _mcodes(94, tables))
 
     # Step-by-step values of the mixed expression (q & !p) | (p ^ r) on
-    # input p=1, q=0, r=1.
-    steps = (
-        h_not(5, tables),
-        h_and(0, h_not(5, tables), tables),
-        h_xor(5, 5, tables),
-        h_or(h_and(0, h_not(5, tables), tables), h_xor(5, 5, tables), tables),
-    )
-    check("mixed-node walkthrough on input 101", (0, 0, 2, 2), steps)
+    # input p=1, q=0, r=1. int() keeps the printed reprs plain.
+    not_p = tables.not_table[5]
+    q_and_not_p = tables.and_table[0, not_p]
+    p_xor_r = tables.xor_table[5, 5]
+    steps = (not_p, q_and_not_p, p_xor_r, tables.or_table[q_and_not_p, p_xor_r])
+    check("mixed-node walkthrough on input 101", (0, 0, 2, 2), tuple(int(v) for v in steps))
 
     return results

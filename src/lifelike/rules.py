@@ -81,9 +81,7 @@ class RuleNumber:
 
 M_VALUES = (0, 1, 2, 3, 4, 5)
 M_STATE = (0, 0, 0, 1, 1, 1)
-M_BEHAVIOR = ("stable", "decrease", "chaotic", "chaotic", "growth", "stable")
 
-STABLE_CODES = (0, 5)
 DECREASE_CODES = (1,)
 CHAOTIC_CODES = (2, 3)
 GROWTH_CODES = (4,)
@@ -92,10 +90,6 @@ GROWTH_CODES = (4,)
 def state_of(m: int) -> int:
     """Next-state bit carried by an M code."""
     return M_STATE[m]
-
-
-def behavior_of(m: int) -> str:
-    return M_BEHAVIOR[m]
 
 
 # --- neighborhood indexing --------------------------------------------------
@@ -217,8 +211,3 @@ def format_rule_spec(tt: TruthTable, bit_order: str = "lsb") -> str:
     if tt.arity == MOORE_ARITY:
         return f"moore2d:{rn.value}"
     raise RuleError(f"no rule-spec form for arity {tt.arity}")
-
-
-def random_truth_table(arity: int, rng: np.random.Generator) -> TruthTable:
-    bits = rng.integers(0, 2, size=1 << arity)
-    return TruthTable(arity, tuple(int(b) for b in bits))

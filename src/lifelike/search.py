@@ -68,6 +68,8 @@ class GAConfig:
     def __post_init__(self) -> None:
         if self.pop_size < 2:
             raise ValueError("population must hold at least 2 individuals")
+        if self.generations < 1:
+            raise ValueError("the search needs at least 1 generation")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation probability must lie in [0, 1]")
         if self.dyn_runs < 1:

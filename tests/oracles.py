@@ -1,7 +1,10 @@
-"""Per-cell reference engines that the vectorized simulator is checked
-against, and seeded tables that more than one test file needs."""
+"""Per-cell reference engines that the vectorized simulator and the
+M-code evaluator are checked against, and seeded tables that more than
+one test file needs."""
 import numpy as np
 
+from lifelike import boolmin
+from lifelike.heval import HTables
 from lifelike.rules import TruthTable, neighborhood_index
 
 #: Row-major offsets of the 2D Moore neighborhood, most significant first.
@@ -28,6 +31,29 @@ def step_naive(c: np.ndarray, tt: TruthTable) -> np.ndarray:
     """Reference engine: per-cell Python loop over one lattice."""
     outputs = np.array(tt.outputs, dtype=np.uint8)
     return outputs[index_field_naive(c)]
+
+
+def eval_m_naive(expr: boolmin.BoolExpr, cells, tables: HTables) -> int:
+    """M code of one neighborhood: a scalar fold over the operator tables.
+
+    Leaves read bit 0 as M=0 and bit 1 as M=5; an n-ary node folds its
+    children left to right.
+    """
+    if isinstance(expr, boolmin.Var):
+        return 5 * cells[expr.index]
+    if isinstance(expr, boolmin.Const):
+        return 5 * expr.bit
+    if isinstance(expr, boolmin.Not):
+        return int(tables.not_table[eval_m_naive(expr.child, cells, tables)])
+    table = {
+        boolmin.And: tables.and_table,
+        boolmin.Or: tables.or_table,
+        boolmin.Xor: tables.xor_table,
+    }[type(expr)]
+    acc = eval_m_naive(expr.children[0], cells, tables)
+    for child in expr.children[1:]:
+        acc = int(table[acc, eval_m_naive(child, cells, tables)])
+    return acc
 
 
 def parity_split_table(seed: int) -> TruthTable:

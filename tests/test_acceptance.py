@@ -9,7 +9,7 @@ import pytest
 from lifelike.boolmin import eval_bool, format_expr, minimize, minimize_detailed
 from lifelike.catalog import write_catalog
 from lifelike.cli import main
-from lifelike.heval import behavior_counts, eval_g_all, m_truth_table, rule_profile, validate_h
+from lifelike.heval import eval_g_all, rule_profile, validate_h
 from lifelike.measures import (
     GOL_TARGET,
     DynamicParams,
@@ -46,7 +46,7 @@ def test_criterion_02_rule_94_end_to_end():
     tt = elementary(94)
     expr = minimize(tt, "exact")
     form = format_expr(expr, 3)
-    mtable = m_truth_table(tt, "exact")
+    mtable = tuple(rule_profile(tt, "exact").mcodes.tolist())
     me = static_measure(rule_profile(tt, "exact")).as_tuple()
     ok = (
         form == "(!p & q) | (p ^ r)"

@@ -127,13 +127,27 @@ class TestPrimeImplicants:
         assert len(cover) <= len(greedy)
 
 
+class TestMinimalCover:
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_primes_missing_an_essential_prime_raise(self, mode):
+        # Rule 94's on-set is {1, 2, 3, 4, 6}; only !p & r covers minterm 1.
+        tt = elementary(94)
+        primes = prime_implicants(tt) - {Implicant(mask=0b101, value=0b001)}
+        with pytest.raises(ValueError, match="do not cover"):
+            minimal_cover(list(primes), tt, mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_no_primes_raise(self, mode):
+        with pytest.raises(ValueError, match="do not cover"):
+            minimal_cover([], elementary(94), mode)
+
+
 class TestImplicant:
-    def test_covers_and_coverage_mask(self):
+    def test_covers(self):
         # Cube 1-0 over 3 vars: p fixed 1, q free, r fixed 0.
         imp = Implicant(mask=0b101, value=0b100)
         assert imp.covers(0b100) and imp.covers(0b110)
         assert not imp.covers(0b101)
-        assert imp.coverage_mask(3) == (1 << 0b100) | (1 << 0b110)
 
     def test_literal_count(self):
         assert Implicant(mask=0b101, value=0b100).literal_count == 2

@@ -50,13 +50,32 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "target", ["5", "[[1]]", "null", "[1, 2, 3]", '"x"', "[1, 2, 3, 4, 5, 6, 7, true]"]
+        "target",
+        [
+            "5",
+            "[[1]]",
+            "null",
+            "[1, 2, 3]",
+            '"x"',
+            "[1, 2, 3, 4, 5, 6, 7, true]",
+            "[1, 2, 3, 4, 5, 6, 7, NaN]",
+            "[1, 2, 3, 4, 5, 6, 7, Infinity]",
+        ],
     )
     def test_search_bad_target_exit_1(self, capsys, tmp_path, target):
         out_path = tmp_path / "c.jsonl"
         code, out, err = run(
             capsys, "search", "--pop", "2", "--gens", "1", "--target", target, "--out", str(out_path)
         )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("gens", ["0", "-3"])
+    def test_search_without_generations_exit_1(self, capsys, tmp_path, gens):
+        out_path = tmp_path / "c.jsonl"
+        code, out, err = run(capsys, "search", "--gens", gens, "--out", str(out_path))
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,78 +6,78 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelike import boolmin
-from lifelike.heval import (
-    DEFAULT_TABLES,
-    HTables,
-    behavior_counts,
-    eval_g,
-    eval_g_all,
-    h_and,
-    h_not,
-    h_or,
-    h_xor,
-    m_truth_table,
-    rule_profile,
-    validate_h,
-)
+from lifelike.heval import DEFAULT_TABLES, eval_g_all, rule_profile, validate_h
 from lifelike.rules import (
+    CHAOTIC_CODES,
+    DECREASE_CODES,
+    GROWTH_CODES,
     M_VALUES,
     TruthTable,
     elementary,
+    gol_truth_table,
     index_to_cells,
     state_of,
 )
 
+from oracles import eval_m_naive
+
 m_codes = st.sampled_from(M_VALUES)
+NOT = DEFAULT_TABLES.not_table
+AND = DEFAULT_TABLES.and_table
+OR = DEFAULT_TABLES.or_table
+XOR = DEFAULT_TABLES.xor_table
+
+
+def mtable(tt: TruthTable, mode: str) -> tuple[int, ...]:
+    return tuple(rule_profile(tt, mode).mcodes.tolist())
 
 
 class TestLeafMapping:
     def test_bits_map_to_stable_codes(self):
-        assert eval_g(boolmin.Var(0), (0,)) == 0
-        assert eval_g(boolmin.Var(0), (1,)) == 5
+        assert eval_g_all(boolmin.Var(0), 1).tolist() == [0, 5]
 
 
 class TestOperatorTables:
     @given(m_codes)
     def test_not_is_involution(self, a):
-        assert h_not(h_not(a)) == a
+        assert NOT[NOT[a]] == a
 
     @given(m_codes)
     def test_not_flips_state(self, a):
-        assert state_of(h_not(a)) == 1 - state_of(a)
+        assert state_of(NOT[a]) == 1 - state_of(a)
 
     @given(m_codes, m_codes)
     def test_and_state_projection(self, a, b):
-        assert state_of(h_and(a, b)) == (state_of(a) & state_of(b))
+        assert state_of(AND[a, b]) == (state_of(a) & state_of(b))
 
     @given(m_codes, m_codes)
     def test_or_state_projection(self, a, b):
-        assert state_of(h_or(a, b)) == (state_of(a) | state_of(b))
+        assert state_of(OR[a, b]) == (state_of(a) | state_of(b))
 
     @given(m_codes, m_codes)
     def test_xor_state_projection(self, a, b):
-        assert state_of(h_xor(a, b)) == (state_of(a) ^ state_of(b))
+        assert state_of(XOR[a, b]) == (state_of(a) ^ state_of(b))
 
     @given(m_codes, m_codes)
     def test_binary_tables_commute(self, a, b):
-        assert h_and(a, b) == h_and(b, a)
-        assert h_or(a, b) == h_or(b, a)
-        assert h_xor(a, b) == h_xor(b, a)
+        assert AND[a, b] == AND[b, a]
+        assert OR[a, b] == OR[b, a]
+        assert XOR[a, b] == XOR[b, a]
 
     def test_stable_input_combinations(self):
-        assert h_and(0, 0) == 0 and h_and(5, 5) == 5
-        assert h_and(0, 5) == 1  # the live input is destroyed: decrease
-        assert h_or(0, 0) == 0 and h_or(5, 5) == 5
-        assert h_or(0, 5) == 4  # a live input survives a mixed OR: growth
-        assert h_xor(0, 0) == 0
-        assert h_xor(5, 0) == h_xor(0, 5) == 4  # a 1 appears: growth
-        assert h_xor(5, 5) == 2  # two live inputs consumed: chaotic
+        assert AND[0, 0] == 0 and AND[5, 5] == 5
+        assert AND[0, 5] == 1  # the live input is destroyed: decrease
+        assert OR[0, 0] == 0 and OR[5, 5] == 5
+        assert OR[0, 5] == 4  # a live input survives a mixed OR: growth
+        assert XOR[0, 0] == 0
+        assert XOR[5, 0] == XOR[0, 5] == 4  # a 1 appears: growth
+        assert XOR[5, 5] == 2  # two live inputs consumed: chaotic
 
     def test_and_destroying_a_live_input_reads_decrease(self):
         for a in (3, 4, 5):
             for b in (0, 1, 2):
-                assert h_and(a, b) == 1
-                assert h_and(b, a) == 1
+                assert AND[a, b] == 1
+                assert AND[b, a] == 1
 
 
 class TestProjectionInvariant:
@@ -85,7 +85,7 @@ class TestProjectionInvariant:
     @settings(max_examples=60, deadline=None)
     def test_state_of_m_table_reproduces_rule(self, rule, mode):
         tt = elementary(rule)
-        codes = m_truth_table(tt, mode)
+        codes = mtable(tt, mode)
         assert tuple(state_of(c) for c in codes) == tt.outputs
 
 
@@ -112,20 +112,33 @@ class TestRuleProfile:
 
 class TestRule94:
     def test_m_table_matches_reference(self):
-        assert m_truth_table(elementary(94), "exact") == (1, 4, 4, 4, 4, 2, 4, 2)
+        assert mtable(elementary(94), "exact") == (1, 4, 4, 4, 4, 2, 4, 2)
 
     def test_behavior_counts(self):
-        counts = behavior_counts(m_truth_table(elementary(94), "exact"))
+        codes = mtable(elementary(94), "exact")
+        groups = {
+            "stability": (0, 5),
+            "decrease": DECREASE_CODES,
+            "growth": GROWTH_CODES,
+            "chaoticity": CHAOTIC_CODES,
+        }
+        counts = {name: sum(c in group for c in codes) for name, group in groups.items()}
         assert counts == {"stability": 0, "decrease": 1, "growth": 5, "chaoticity": 2}
 
 
 class TestEvalGAll:
-    def test_agrees_with_scalar_eval(self):
-        tt = elementary(110)
+    @staticmethod
+    def assert_agrees_with_scalar_fold(tt: TruthTable) -> None:
         expr = boolmin.minimize(tt, "exact")
-        codes = eval_g_all(expr, 3)
-        for i in range(8):
-            assert eval_g(expr, index_to_cells(i, 3)) == codes[i]
+        codes = eval_g_all(expr, tt.arity).tolist()
+        for i in range(1 << tt.arity):
+            assert eval_m_naive(expr, index_to_cells(i, tt.arity), DEFAULT_TABLES) == codes[i]
+
+    def test_agrees_with_scalar_eval(self):
+        self.assert_agrees_with_scalar_fold(elementary(110))
+
+    def test_agrees_with_scalar_eval_on_game_of_life(self):
+        self.assert_agrees_with_scalar_fold(gol_truth_table())
 
 
 class TestValidateH:

@@ -42,6 +42,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             GAConfig(target=(1.0, 2.0))
 
+    @pytest.mark.parametrize("generations", [0, -3])
+    def test_at_least_one_generation(self, generations):
+        with pytest.raises(ValueError, match="generation"):
+            GAConfig(generations=generations)
+
 
 class TestVariation:
     @given(st.integers(1, CHROMOSOME_BITS - 1), st.integers(0, 2**30))
