@@ -9,8 +9,10 @@ complementary literal pairs).
 
 A cube is one (mask, value) pair of ints from the prime implicants to
 the XOR terms. Covering reads a bool primes x minterms coverage matrix;
-XOR extraction keeps (mask, value, xors) terms, xors a sorted tuple of
-(a, b) variable pairs, and tests merges only inside (mask, xors) buckets.
+Petrick's products are int bitmasks over prime indices, kept an antichain
+of inclusion-minimal terms. XOR extraction keeps (mask, value, xors)
+terms, xors a sorted tuple of (a, b) variable pairs, and tests merges only
+inside (mask, xors) buckets.
 
 Expressions are canonical: n-ary node children are sorted by a
 variable-index-lexicographic key and duplicates are removed, so identical
@@ -270,14 +272,18 @@ class Implicant:
             digits.append((self.value >> (arity - 1 - j)) & 1 if self.mask & bit else 2)
         return tuple(digits)
 
-    def to_expr(self, arity: int) -> BoolExpr:
+    def literals(self, arity: int) -> list[BoolExpr]:
+        """The cube's literals x_j or !x_j, in variable order."""
         literals = []
         for j in range(arity):
             bit = 1 << (arity - 1 - j)
             if self.mask & bit:
                 var: BoolExpr = Var(j)
                 literals.append(var if self.value & bit else make_not(var))
-        return make_and(literals) if literals else Const(1)
+        return literals
+
+    def to_expr(self, arity: int) -> BoolExpr:
+        return make_and(self.literals(arity))
 
 
 def prime_implicants(tt: TruthTable) -> frozenset[Implicant]:
@@ -321,9 +327,11 @@ def minimal_cover(
     """Select a cover of tt's on-set from its prime implicants.
 
     mode="exact" finds a minimum-cardinality cover via Petrick's method
-    (ties: fewest literals, then lexicographically smallest cube list) and
-    raises CoverBudgetExceeded when the product grows past EXACT_BUDGET
-    terms. minimize_detailed's "auto" then retries with mode="greedy".
+    (ties: fewest literals, then lexicographically smallest cube list) on
+    each connected component of the cyclic core, with products as int
+    bitmasks over prime indices. It raises CoverBudgetExceeded when one
+    expansion, before absorption, has more than EXACT_BUDGET terms.
+    minimize_detailed's "auto" then retries with mode="greedy".
     mode="greedy" takes the deterministic largest-gain set cover: each
     pick is the first prime (in cube_key order) of largest gain.
 
@@ -362,27 +370,39 @@ def minimal_cover(
     remaining = [m for m in tt.onset if not covered[m]]
 
     # Petrick's method on the cyclic core, run independently per connected
-    # component (minterms linked through shared primes). Products are kept
-    # as absorption-pruned sets of prime-index frozensets.
+    # component (minterms linked through shared primes). A product is an
+    # int bitmask over prime indices; products stay an antichain, the
+    # inclusion-minimal terms of each expansion.
     chosen = set(essential)
     for component in _components(remaining, hitmap):
-        products: set[frozenset[int]] = {frozenset()}
+        products = {0}
         for minterm in sorted(component, key=lambda m: len(hitmap[m])):
-            expanded = {term | {i} for term in products for i in hitmap[minterm]}
+            hits = hitmap[minterm]
+            expanded = {t | 1 << i for t in products for i in hits}
             if len(expanded) > EXACT_BUDGET:
                 raise CoverBudgetExceeded(f"Petrick product exceeded {EXACT_BUDGET} terms")
-            products = _absorb(expanded)
+            products = _expand_minimal(products, hits)
 
-        def cover_key(term: frozenset[int]) -> tuple:
-            cubes = [ordered[i] for i in sorted(term)]
+        def cover_key(term: int) -> tuple:
+            cubes = [ordered[i] for i in _bit_indices(term)]
             return (
                 len(cubes),
                 sum(c.literal_count for c in cubes),
                 tuple(c.cube_key(arity) for c in cubes),
             )
 
-        chosen |= min(products, key=cover_key)
+        chosen.update(_bit_indices(min(products, key=cover_key)))
     return tuple(ordered[i] for i in sorted(chosen))
+
+
+def _bit_indices(term: int) -> list[int]:
+    """Ascending indices of the set bits of term."""
+    indices = []
+    while term:
+        low = term & -term
+        indices.append(low.bit_length() - 1)
+        term ^= low
+    return indices
 
 
 def _components(minterms: Sequence[int], hitmap: dict[int, list[int]]) -> list[list[int]]:
@@ -410,12 +430,25 @@ def _components(minterms: Sequence[int], hitmap: dict[int, list[int]]) -> list[l
     return comps
 
 
-def _absorb(terms: set[frozenset[int]]) -> set[frozenset[int]]:
-    kept: set[frozenset[int]] = set()
-    for term in sorted(terms, key=len):
-        if not any(other <= term for other in kept):
-            kept.add(term)
-    return kept
+def _expand_minimal(products: set[int], hits: list[int]) -> set[int]:
+    """Inclusion-minimal terms of {t | 1<<i : t in products, i in hits}.
+
+    products must be an antichain. A product that already hits a prime
+    in hits is minimal as it is, and absorbs its own extensions. An
+    extension p | 1<<i of a product p that hits none can only be absorbed
+    by a hitting product q with i in q and q & ~(1<<i) a subset of p, so
+    it is tested against those remainders only.
+    """
+    hitmask = sum(1 << i for i in hits)
+    kept = {t for t in products if t & hitmask}
+    remainders = {i: [q & ~(1 << i) for q in kept if q >> i & 1] for i in hits}
+    result = set(kept)
+    for p in products - kept:
+        outside = ~p
+        for i in hits:
+            if all(r & outside for r in remainders[i]):
+                result.add(p | 1 << i)
+    return result
 
 
 # --- XOR extraction ---------------------------------------------------------
@@ -499,12 +532,13 @@ def xor_extract(sop: Sequence[Implicant], arity: int) -> BoolExpr:
     Each cube becomes a (mask, value, xors) term: the Implicant's cube
     and a sorted tuple of (a, b) variable pairs, one factor a ^ b each.
     Pairwise rewrites (a & !b) | (!a & b) -> a ^ b over complementary
-    literal pairs run to a fixpoint; the rest stays as an Or of And terms.
+    literal pairs run to a fixpoint; the rest stays as an Or of And terms,
+    each one make_and over a term's literals and XOR factors.
     """
     products = []
     for mask, value, xors in _merge_complementary([(c.mask, c.value, ()) for c in sop], arity):
         factors = [make_xor([Var(a), Var(b)]) for a, b in xors]
-        products.append(make_and([Implicant(mask, value).to_expr(arity), *factors]))
+        products.append(make_and([*Implicant(mask, value).literals(arity), *factors]))
     return make_or(products)
 
 

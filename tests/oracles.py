@@ -64,3 +64,66 @@ def parity_split_table(seed: int) -> TruthTable:
     """
     g = np.random.default_rng(seed).random(256) < 0.08
     return TruthTable(9, tuple(int(b) for b in np.concatenate([g, ~g])))
+
+
+def petrick_naive(primes, tt: TruthTable) -> tuple[boolmin.Implicant, ...]:
+    """Minimum cover of tt's on-set by Petrick's method over frozenset
+    products, each expansion pruned by an O(n^2) absorption scan.
+
+    The reference for boolmin.minimal_cover's "exact" mode: the same
+    tie-break (fewest primes, fewest literals, smallest cube_key list), the
+    same per-component expansion order, and CoverBudgetExceeded with the
+    same message once an expansion exceeds EXACT_BUDGET terms.
+    """
+    arity = tt.arity
+    ordered = sorted(primes, key=lambda p: p.cube_key(arity))
+    hitmap = {m: [i for i, p in enumerate(ordered) if p.covers(m)] for m in tt.onset}
+    essential = {hits[0] for hits in hitmap.values() if len(hits) == 1}
+    remaining = [m for m in tt.onset if not essential.intersection(hitmap[m])]
+
+    def cover_key(term: frozenset[int]) -> tuple:
+        cubes = [ordered[i] for i in sorted(term)]
+        return (
+            len(cubes),
+            sum(c.literal_count for c in cubes),
+            tuple(c.cube_key(arity) for c in cubes),
+        )
+
+    chosen = set(essential)
+    for component in _components_naive(remaining, hitmap):
+        products: set[frozenset[int]] = {frozenset()}
+        for minterm in sorted(component, key=lambda m: len(hitmap[m])):
+            expanded = {term | {i} for term in products for i in hitmap[minterm]}
+            if len(expanded) > boolmin.EXACT_BUDGET:
+                raise boolmin.CoverBudgetExceeded(
+                    f"Petrick product exceeded {boolmin.EXACT_BUDGET} terms"
+                )
+            products = _absorb(expanded)
+        chosen |= min(products, key=cover_key)
+    return tuple(ordered[i] for i in sorted(chosen))
+
+
+def _components_naive(minterms, hitmap) -> list[list[int]]:
+    """Sorted minterm groups linked through shared covering primes."""
+    comps = []
+    left = set(minterms)
+    while left:
+        comp = {min(left)}
+        while True:
+            primes = {i for m in comp for i in hitmap[m]}
+            grown = {m for m in left if primes.intersection(hitmap[m])}
+            if grown == comp:
+                break
+            comp = grown
+        comps.append(sorted(comp))
+        left -= comp
+    return comps
+
+
+def _absorb(terms: set[frozenset[int]]) -> set[frozenset[int]]:
+    """The inclusion-minimal terms."""
+    kept: set[frozenset[int]] = set()
+    for term in sorted(terms, key=len):
+        if not any(other <= term for other in kept):
+            kept.add(term)
+    return kept

@@ -30,7 +30,7 @@ from lifelike.boolmin import (
 )
 from lifelike.rules import TruthTable, elementary, gol_truth_table, index_to_cells
 
-from oracles import parity_split_table
+from oracles import parity_split_table, petrick_naive
 
 
 def exhaustive_equal(expr, tt: TruthTable) -> bool:
@@ -140,6 +140,27 @@ class TestMinimalCover:
     def test_no_primes_raise(self, mode):
         with pytest.raises(ValueError, match="do not cover"):
             minimal_cover([], elementary(94), mode)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(5, 9),
+        st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7, 0.9]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_exact_matches_frozenset_petrick(self, arity, density, seed):
+        rng = np.random.default_rng(seed)
+        outputs = rng.random(1 << arity) < density
+        outputs[rng.integers(1 << arity)] = True
+        tt = TruthTable(arity, tuple(int(b) for b in outputs))
+        primes = list(prime_implicants(tt))
+        try:
+            expected = petrick_naive(primes, tt)
+        except CoverBudgetExceeded as exc:
+            with pytest.raises(CoverBudgetExceeded) as got:
+                minimal_cover(primes, tt, "exact")
+            assert str(got.value) == str(exc)
+        else:
+            assert minimal_cover(primes, tt, "exact") == expected
 
 
 class TestImplicant:
@@ -290,9 +311,10 @@ def _digest(tt: TruthTable, mode: str) -> str:
 
 
 # (exact, greedy, auto) digests, recorded before the Shannon parity split
-# moved ahead of covering. "elementary" hashes the digests of rules 0-255;
-# (density, seed) keys are random 9-ary tables. Denser tables get three
-# seeds, not five: each runs two failing exact attempts (~0.3 s).
+# moved ahead of covering; seeds 3 and 4 of the denser tables were
+# recorded before Petrick products became int bitmasks. "elementary"
+# hashes the digests of rules 0-255; (density, seed) keys are random 9-ary
+# tables.
 GOLDEN_MINIMIZE = {
     "elementary": ("e729f195c20eee4a", "36d736f11e1ab57b", "e729f195c20eee4a"),
     "gol": ("f3307c4396c7343a", "b0ce1fe1555d9401", "f3307c4396c7343a"),
@@ -304,15 +326,23 @@ GOLDEN_MINIMIZE = {
     (0.3, 0): ("84cff28a2e489ad2", "44274f735281af68", "44274f735281af68"),
     (0.3, 1): ("84cff28a2e489ad2", "3193e256fede5455", "3193e256fede5455"),
     (0.3, 2): ("c8aa682d8a133573", "28ebb4006423a954", "c8aa682d8a133573"),
+    (0.3, 3): ("84cff28a2e489ad2", "3bb484dcde8957d8", "3bb484dcde8957d8"),
+    (0.3, 4): ("84cff28a2e489ad2", "6e3ec3ef450598ed", "6e3ec3ef450598ed"),
     (0.5, 0): ("84cff28a2e489ad2", "e9b924146f58f7f1", "e9b924146f58f7f1"),
     (0.5, 1): ("84cff28a2e489ad2", "2df925cb61b02596", "2df925cb61b02596"),
     (0.5, 2): ("84cff28a2e489ad2", "ba171652d0976aff", "ba171652d0976aff"),
+    (0.5, 3): ("84cff28a2e489ad2", "a1cc4b5010007956", "a1cc4b5010007956"),
+    (0.5, 4): ("84cff28a2e489ad2", "cbcd0f817fa6bb9b", "cbcd0f817fa6bb9b"),
     (0.7, 0): ("84cff28a2e489ad2", "7cfcd92fdfb9847d", "7cfcd92fdfb9847d"),
     (0.7, 1): ("84cff28a2e489ad2", "5a5093a59fbb16ed", "5a5093a59fbb16ed"),
     (0.7, 2): ("84cff28a2e489ad2", "6afecb571f5df454", "6afecb571f5df454"),
+    (0.7, 3): ("84cff28a2e489ad2", "3e36e9dbb26c82a0", "3e36e9dbb26c82a0"),
+    (0.7, 4): ("84cff28a2e489ad2", "5405d631e9fc3d62", "5405d631e9fc3d62"),
     (0.9, 0): ("84cff28a2e489ad2", "995d084b86bc9c2b", "995d084b86bc9c2b"),
     (0.9, 1): ("84cff28a2e489ad2", "06e100eacf6bb396", "06e100eacf6bb396"),
     (0.9, 2): ("84cff28a2e489ad2", "5755d5ca20350b65", "5755d5ca20350b65"),
+    (0.9, 3): ("84cff28a2e489ad2", "1d3dc866e8a81da8", "1d3dc866e8a81da8"),
+    (0.9, 4): ("84cff28a2e489ad2", "7a02ef614d8e6dd5", "7a02ef614d8e6dd5"),
 }
 
 
