@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Recompute the Game of Life's behavior measures and compare them with
-the published reference values, then report feature distances and
-measure correlations for the published found rules.
+the published reference values, report feature distances and measure
+correlations for the published found rules, then recompute the
+self-replicator's measures and their distances to its published ones.
+
+The last line is JSON: the Game of Life's static and dynamic vectors, and
+under "self_replicator" that rule's vectors and distances.
 """
 import argparse
 import json
@@ -14,9 +18,11 @@ from lifelike import (
     dynamic_measure,
     feature_vector,
     gol_truth_table,
+    parse_rule_spec,
     rule_profile,
     static_measure,
 )
+from render_self_replicator import SELF_REPLICATOR
 
 # Published behavior vectors (stability, decrease, growth, chaoticity) of
 # rules found by the genetic search, static then dynamic.
@@ -36,17 +42,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    params = DynamicParams(
+        runs=args.runs,
+        dims=tuple(args.size),
+        max_steps=args.steps,
+        seed=args.seed,
+    )
     profile = rule_profile(gol_truth_table(), "exact")
     me = static_measure(profile)
-    md = dynamic_measure(
-        profile,
-        DynamicParams(
-            runs=args.runs,
-            dims=tuple(args.size),
-            max_steps=args.steps,
-            seed=args.seed,
-        ),
-    )
+    md = dynamic_measure(profile, params)
     features = feature_vector(me, md)
 
     print("Game of Life")
@@ -63,8 +67,27 @@ def main() -> None:
         c = correlation(fme, fmd)
         print(f"{name}: distance to GoL target {d:.2f}, corr {c:+.2f}")
 
+    # Under "auto" the self-replicator's exact cover exceeds its budget,
+    # so this is the greedy form.
+    replicator = rule_profile(parse_rule_spec(SELF_REPLICATOR), "auto")
+    published_static, published_dynamic = FOUND_RULES["self-replicator"]
+    rs = static_measure(replicator).as_tuple()
+    rd = dynamic_measure(replicator, params).as_tuple()
+    report = {
+        "static": rs,
+        "static_distance": distance(rs, published_static),
+        "dynamic": rd,
+        "dynamic_distance": distance(rd, published_dynamic),
+    }
     print()
-    print(json.dumps({"static": me.as_tuple(), "dynamic": md.as_tuple()}))
+    print(f"self-replicator ({replicator.cover_mode} cover)")
+    for kind, published in (("static", published_static), ("dynamic", published_dynamic)):
+        rounded = tuple(round(v, 2) for v in report[kind])
+        distance_ = report[f"{kind}_distance"]
+        print(f"  {kind:8} {rounded}, published {published}, distance {distance_:.2f}")
+
+    print()
+    print(json.dumps({"static": me.as_tuple(), "dynamic": md.as_tuple(), "self_replicator": report}))
 
 
 if __name__ == "__main__":

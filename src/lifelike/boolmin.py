@@ -5,7 +5,8 @@ split, lowest x first) becomes x ^ minimize(g) without being covered;
 any other table goes through Quine-McCluskey prime implicants -> minimum
 sum-of-products cover (Petrick's method exactly, or a deterministic greedy
 fallback for large instances) -> XOR extraction (pairwise rewrites of
-complementary literal pairs).
+complementary literal pairs, chosen each round by the in-tree
+maximum-cardinality matching of `matching`).
 
 A cube is one (mask, value) pair of ints from the prime implicants to
 the XOR terms. Covering reads a bool primes x minterms coverage matrix;
@@ -26,6 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .matching import max_cardinality_matching
 from .rules import TruthTable
 
 #: Variable display names for elementary (arity 3) rules.
@@ -406,28 +408,31 @@ def _bit_indices(term: int) -> list[int]:
 
 
 def _components(minterms: Sequence[int], hitmap: dict[int, list[int]]) -> list[list[int]]:
-    """Group minterms connected through shared covering primes."""
-    prime_to_minterms: dict[int, set[int]] = {}
+    """Group minterms connected through shared covering primes.
+
+    One union-find pass joins the primes each minterm hits; a minterm's
+    group is its first prime's root. Groups come in order of their
+    smallest minterm, each in the order of minterms.
+    """
+    parent: dict[int, int] = {}
+
+    def find(i: int) -> int:
+        root = parent.setdefault(i, i)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
     for m in minterms:
-        for i in hitmap[m]:
-            prime_to_minterms.setdefault(i, set()).add(m)
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for start in minterms:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for i in hitmap[cur]:
-                for other in prime_to_minterms[i]:
-                    if other not in comp:
-                        comp.add(other)
-                        stack.append(other)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
+        first, *rest = hitmap[m]
+        root = find(first)
+        for i in rest:
+            parent[find(i)] = root
+    groups: dict[int, list[int]] = {}
+    for m in minterms:
+        groups.setdefault(find(hitmap[m][0]), []).append(m)
+    return list(groups.values())
 
 
 def _expand_minimal(products: set[int], hits: list[int]) -> set[int]:
@@ -495,32 +500,27 @@ def _merge_complementary(terms: list[tuple], arity: int) -> list[tuple]:
     Only terms with the same mask and XOR pairs can merge, so pairs are
     tested inside (mask, xors) buckets. Each round takes a maximum
     matching of the mergeable-pair graph (a greedy first-fit scan strands
-    pairs and loses XOR factors on large symmetric covers); rounds repeat
-    until no pair merges. Terms are kept canonically sorted and edges are
-    added in sorted order, so the matching is deterministic.
+    pairs and loses XOR factors on large symmetric covers) from
+    matching.max_cardinality_matching; rounds repeat until no pair
+    merges. Terms are kept canonically sorted, so the matching, and with
+    it the tree, is deterministic.
     """
-    import networkx as nx
-
     while True:
         terms.sort(key=lambda t: _term_key(t, arity))
         buckets: dict[tuple, list[int]] = {}
         for i, (mask, _, xors) in enumerate(terms):
             buckets.setdefault((mask, xors), []).append(i)
-        edges = sorted(
+        edges = [
             (i, j)
             for bucket in buckets.values()
             for i, j in combinations(bucket, 2)
             if _mergeable(terms[i][1], terms[j][1])
-        )
+        ]
         if not edges:
             return terms
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(terms)))
-        graph.add_edges_from(edges)
-        matching = nx.max_weight_matching(graph, maxcardinality=True)
         matched: set[int] = set()
         merged: list[tuple] = []
-        for i, j in sorted(tuple(sorted(pair)) for pair in matching):
+        for i, j in max_cardinality_matching(len(terms), edges):
             merged.append(_merge_pair(terms[i], terms[j], arity))
             matched.update((i, j))
         terms = merged + [t for k, t in enumerate(terms) if k not in matched]

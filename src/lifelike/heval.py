@@ -98,26 +98,37 @@ def _build_xor() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HTables:
-    """Operator tables over the 6-valued M domain."""
+    """Operator tables over the 6-valued M domain.
+
+    Each table is a read-only copy of the array passed in, so no caller
+    can change a table that DEFAULT_TABLES and every profile share.
+    """
 
     not_table: np.ndarray = field(default_factory=_build_not)
     and_table: np.ndarray = field(default_factory=_build_and)
     or_table: np.ndarray = field(default_factory=_build_or)
     xor_table: np.ndarray = field(default_factory=_build_xor)
 
+    def __post_init__(self) -> None:
+        for name in ("not_table", "and_table", "or_table", "xor_table"):
+            table = np.array(getattr(self, name))
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
     def replaced(self, op: str, a: int, b: int | None, value: int) -> "HTables":
         """Copy with one entry perturbed (for sensitivity checks)."""
         arrays = {
-            "not": self.not_table.copy(),
-            "and": self.and_table.copy(),
-            "or": self.or_table.copy(),
-            "xor": self.xor_table.copy(),
+            "not": self.not_table,
+            "and": self.and_table,
+            "or": self.or_table,
+            "xor": self.xor_table,
         }
+        table = arrays[op] = arrays[op].copy()
         if op == "not":
-            arrays[op][a] = value
+            table[a] = value
         else:
-            arrays[op][a, b] = value
-            arrays[op][b, a] = value
+            table[a, b] = value
+            table[b, a] = value
         return HTables(arrays["not"], arrays["and"], arrays["or"], arrays["xor"])
 
 

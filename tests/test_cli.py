@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -242,6 +246,28 @@ class TestImport:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["rule"] == "94"
+
+
+def test_cli_runs_without_networkx():
+    """networkx is a test oracle only: analyze and dynamic on the Game of
+    Life, run in a fresh interpreter, never import it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = """
+import contextlib, io, sys
+from lifelike.cli import main
+from lifelike.rules import format_rule_spec, gol_truth_table
+spec = format_rule_spec(gol_truth_table())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["analyze", spec]) == 0
+    assert main(["dynamic", spec, "--runs", "2", "--size", "12x12", "--steps", "5"]) == 0
+assert "networkx" not in sys.modules, "networkx was imported"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _gol_table_file(tmp_path):

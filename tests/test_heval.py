@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelike import boolmin
-from lifelike.heval import DEFAULT_TABLES, eval_g_all, rule_profile, validate_h
+from lifelike.heval import DEFAULT_TABLES, HTables, eval_g_all, rule_profile, validate_h
 from lifelike.rules import (
     CHAOTIC_CODES,
     DECREASE_CODES,
@@ -158,6 +158,27 @@ class TestValidateH:
         broken = DEFAULT_TABLES.replaced("xor", 5, 5, 0)
         results = validate_h(broken)
         assert any(not r.passed for r in results)
+
+
+class TestReadOnlyTables:
+    @pytest.mark.parametrize("name", ["not_table", "and_table", "or_table", "xor_table"])
+    def test_default_tables_reject_assignment(self, name):
+        table = getattr(DEFAULT_TABLES, name)
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 3
+        with pytest.raises(ValueError):
+            getattr(DEFAULT_TABLES.replaced("or", 5, 5, 4), name)[(0,) * table.ndim] = 3
+
+    def test_tables_copy_caller_arrays(self):
+        and_table = DEFAULT_TABLES.and_table.copy()
+        tables = HTables(and_table=and_table)
+        and_table[0, 0] = 3
+        assert tables.and_table[0, 0] == 0
+
+    def test_replaced_leaves_the_original(self):
+        broken = DEFAULT_TABLES.replaced("and", 5, 0, 0)
+        assert (broken.and_table[5, 0], broken.and_table[0, 5]) == (0, 0)
+        assert (DEFAULT_TABLES.and_table[5, 0], DEFAULT_TABLES.and_table[0, 5]) == (1, 1)
 
 
 class TestFoldOrder:

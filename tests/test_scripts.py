@@ -22,8 +22,14 @@ def run_script(name, *args):
 def test_reproduce_gol_measures():
     last = run_script("reproduce_gol_measures.py", "--runs", "2", "--size", "20", "20", "--steps", "5")
     measures = json.loads(last)
-    assert set(measures) == {"static", "dynamic"}
-    assert all(len(v) == 4 for v in measures.values())
+    assert set(measures) == {"static", "dynamic", "self_replicator"}
+    assert all(len(measures[k]) == 4 for k in ("static", "dynamic"))
+    # A report, not a fidelity check: the self-replicator's greedy form has
+    # a static measure 18.79 away from the published (0, 3.32, 34.96, 61.72).
+    report = measures["self_replicator"]
+    assert tuple(round(v, 2) for v in report["static"]) == (0.0, 13.48, 39.84, 46.68)
+    assert round(report["static_distance"], 2) == 18.79
+    assert len(report["dynamic"]) == 4 and report["dynamic_distance"] >= 0
 
 
 def test_render_self_replicator(tmp_path):
