@@ -22,7 +22,15 @@ from lifelike import (
     rule_profile,
     static_measure,
 )
-from render_self_replicator import SELF_REPLICATOR
+
+#: The published self-replicating 2D rule (lsb bit order). To watch it
+#: replicate: ca simulate <this spec> --density 0.1 --out frames
+SELF_REPLICATOR = (
+    "moore2d:"
+    "168956220003150428540506549680417619769424995409487733442556"
+    "339612333081717128579374366701058219674682166161189003344417"
+    "08509286446343520818184926824448"
+)
 
 # Published behavior vectors (stability, decrease, growth, chaoticity) of
 # rules found by the genetic search, static then dynamic.

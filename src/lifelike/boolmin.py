@@ -2,11 +2,11 @@
 
 Pipeline: a table that is x ^ g for some variable x (Shannon parity
 split, lowest x first) becomes x ^ minimize(g) without being covered;
-any other table goes through Quine-McCluskey prime implicants -> minimum
-sum-of-products cover (Petrick's method exactly, or a deterministic greedy
-fallback for large instances) -> XOR extraction (pairwise rewrites of
-complementary literal pairs, chosen each round by the in-tree
-maximum-cardinality matching of `matching`).
+any other table goes through prime implicants read off one (3,)*m cube
+array -> minimum sum-of-products cover (Petrick's method exactly, or a
+deterministic greedy fallback for large instances) -> XOR extraction
+(pairwise rewrites of complementary literal pairs, chosen each round by
+the in-tree maximum-cardinality matching of `matching`).
 
 A cube is one (mask, value) pair of ints from the prime implicants to
 the XOR terms. Covering reads a bool primes x minterms coverage matrix;
@@ -289,36 +289,26 @@ class Implicant:
 
 
 def prime_implicants(tt: TruthTable) -> frozenset[Implicant]:
-    """Complete prime implicant set of the on-set (Quine-McCluskey)."""
-    onset = tt.onset
-    if not onset:
+    """Complete prime implicant set of the on-set, read off the cube lattice.
+
+    Axis j of the (3,)*m array is variable j: digit 0 or 1 fixes x_j, digit
+    2 frees it. imp marks the cubes holding only on-set minterms (the
+    digit-2 slice along an axis is the AND of its 0 and 1 slices); a prime
+    is an implicant that stops being one when any fixed variable is freed.
+    """
+    if not tt.onset:
         raise ValueError("constant-0 table has no implicants")
-    full = (1 << tt.arity) - 1
-    # level maps cube mask -> set of values; merge same-mask cubes whose
-    # values differ in exactly one cared bit.
-    level: dict[int, set[int]] = {full: set(onset)}
-    primes: set[Implicant] = set()
-    while level:
-        nxt: dict[int, set[int]] = {}
-        merged: dict[int, set[int]] = {mask: set() for mask in level}
-        for mask, values in level.items():
-            for value in values:
-                for j in range(tt.arity):
-                    bit = 1 << j
-                    if not mask & bit or value & bit:
-                        continue
-                    if value | bit in values:
-                        merged[mask].update((value, value | bit))
-                        nxt.setdefault(mask & ~bit, set()).add(value)
-        for mask, values in level.items():
-            for value in values - merged[mask]:
-                primes.add(Implicant(mask, value))
-        level = nxt
-    return frozenset(primes)
-
-
-def _sorted_primes(primes: Sequence[Implicant], arity: int) -> list[Implicant]:
-    return sorted(primes, key=lambda p: p.cube_key(arity))
+    m = tt.arity
+    imp = tt.as_array().astype(bool).reshape((2,) * m)
+    for j in range(m):
+        imp = np.concatenate([imp, imp.take([0], axis=j) & imp.take([1], axis=j)], axis=j)
+    prime = imp.copy()
+    for j in range(m):
+        prime[(slice(None),) * j + (slice(0, 2),)] &= ~imp.take([2, 2], axis=j)
+    digits = np.argwhere(prime)  # one row per prime, column j for variable j
+    bits = 1 << np.arange(m - 1, -1, -1)
+    masks, values = ((digits < 2) @ bits).tolist(), ((digits == 1) @ bits).tolist()
+    return frozenset(map(Implicant, masks, values))
 
 
 def minimal_cover(
@@ -344,7 +334,7 @@ def minimal_cover(
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown cover mode {mode!r}")
     arity = tt.arity
-    ordered = _sorted_primes(primes, arity)
+    ordered = sorted(primes, key=lambda p: p.cube_key(arity))
     masks = np.array([p.mask for p in ordered], dtype=np.uint16)
     values = np.array([p.value for p in ordered], dtype=np.uint16)
     onset = tt.as_array().astype(bool)
@@ -386,12 +376,9 @@ def minimal_cover(
             products = _expand_minimal(products, hits)
 
         def cover_key(term: int) -> tuple:
-            cubes = [ordered[i] for i in _bit_indices(term)]
-            return (
-                len(cubes),
-                sum(c.literal_count for c in cubes),
-                tuple(c.cube_key(arity) for c in cubes),
-            )
+            # Ascending prime indices compare as the cube_key lists do.
+            indices = _bit_indices(term)
+            return (len(indices), sum(ordered[i].literal_count for i in indices), indices)
 
         chosen.update(_bit_indices(min(products, key=cover_key)))
     return tuple(ordered[i] for i in sorted(chosen))

@@ -257,6 +257,12 @@ def _cmd_search(args) -> int:
         keep=args.keep,
         target=target,
     )
+    # The catalog is written after the search: check, but do not open, it now.
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ValueError(f"catalog directory {str(out.parent)!r} does not exist")
+    if out.is_dir():
+        raise ValueError(f"catalog path {args.out!r} is a directory")
 
     def progress(generation: int, best: search.Individual) -> None:
         print(

@@ -31,6 +31,9 @@ from .rules import MOORE_ARITY, TruthTable, encode_rule_number
 
 CHROMOSOME_BITS = 1 << MOORE_ARITY
 
+ELITISM = 2  # best individuals copied unchanged into the next generation
+TOURNAMENT = 3  # individuals drawn per tournament selection
+
 
 @dataclass
 class Individual:
@@ -55,8 +58,6 @@ class GAConfig:
     generations: int = 5000
     mutation_prob: float = 0.01
     seed: int = 0
-    elitism: int = 2
-    tournament: int = 3
     dyn_runs: int = 10
     dyn_dims: tuple[int, int] = (100, 100)
     dyn_max_steps: int = 100
@@ -72,8 +73,9 @@ class GAConfig:
             raise ValueError("the search needs at least 1 generation")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation probability must lie in [0, 1]")
-        if self.dyn_runs < 1:
-            raise ValueError("dynamic sampling needs at least one run")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError("seed must lie in [0, 2**63)")
+        self.dynamic_params(0)  # checks runs, dims, steps and density
         if self.keep < 0:
             raise ValueError("keep must be >= 0")
         if len(self.target) != 8:
@@ -147,10 +149,8 @@ def _rank_key(ind: Individual) -> tuple[float, bytes]:
     return (ind.fitness, ind.key)
 
 
-def _tournament(
-    population: list[Individual], cfg: GAConfig, rng: np.random.Generator
-) -> Individual:
-    picks = rng.integers(0, len(population), size=cfg.tournament)
+def _tournament(population: list[Individual], rng: np.random.Generator) -> Individual:
+    picks = rng.integers(0, len(population), size=TOURNAMENT)
     return min((population[i] for i in picks), key=_rank_key)
 
 
@@ -214,11 +214,11 @@ def run_ga(cfg: GAConfig, progress=None) -> list[CatalogRecord]:
             break
         next_population = [
             Individual(elite.chromosome.copy())
-            for elite in population[: cfg.elitism]
+            for elite in population[:ELITISM]
         ]
         while len(next_population) < cfg.pop_size:
-            parent_a = _tournament(population, cfg, rng)
-            parent_b = _tournament(population, cfg, rng)
+            parent_a = _tournament(population, rng)
+            parent_b = _tournament(population, rng)
             point = int(rng.integers(1, CHROMOSOME_BITS))
             child_a, child_b = one_point_crossover(
                 parent_a.chromosome, parent_b.chromosome, point

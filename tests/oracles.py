@@ -127,3 +127,37 @@ def _absorb(terms: set[frozenset[int]]) -> set[frozenset[int]]:
         if not any(other <= term for other in kept):
             kept.add(term)
     return kept
+
+
+def prime_implicants_qm(tt: TruthTable) -> frozenset[boolmin.Implicant]:
+    """Complete prime implicant set of the on-set (Quine-McCluskey).
+
+    The reference for boolmin.prime_implicants: cubes merge level by level,
+    and a cube that merges with no same-mask neighbour is prime.
+    """
+    Implicant = boolmin.Implicant
+    onset = tt.onset
+    if not onset:
+        raise ValueError("constant-0 table has no implicants")
+    full = (1 << tt.arity) - 1
+    # level maps cube mask -> set of values; merge same-mask cubes whose
+    # values differ in exactly one cared bit.
+    level: dict[int, set[int]] = {full: set(onset)}
+    primes: set[Implicant] = set()
+    while level:
+        nxt: dict[int, set[int]] = {}
+        merged: dict[int, set[int]] = {mask: set() for mask in level}
+        for mask, values in level.items():
+            for value in values:
+                for j in range(tt.arity):
+                    bit = 1 << j
+                    if not mask & bit or value & bit:
+                        continue
+                    if value | bit in values:
+                        merged[mask].update((value, value | bit))
+                        nxt.setdefault(mask & ~bit, set()).add(value)
+        for mask, values in level.items():
+            for value in values - merged[mask]:
+                primes.add(Implicant(mask, value))
+        level = nxt
+    return frozenset(primes)

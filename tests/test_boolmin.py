@@ -30,7 +30,7 @@ from lifelike.boolmin import (
 )
 from lifelike.rules import TruthTable, elementary, gol_truth_table, index_to_cells
 
-from oracles import parity_split_table, petrick_naive
+from oracles import parity_split_table, petrick_naive, prime_implicants_qm
 
 
 def exhaustive_equal(expr, tt: TruthTable) -> bool:
@@ -113,6 +113,29 @@ class TestPrimeImplicants:
         primes = prime_implicants(tt)
         assert len(primes) == 1
         assert next(iter(primes)).mask == 0
+
+    def test_arity_zero(self):
+        assert prime_implicants(TruthTable(0, (1,))) == {Implicant(0, 0)}
+
+    def test_constant_zero_raises(self):
+        with pytest.raises(ValueError, match="constant-0"):
+            prime_implicants(TruthTable(3, (0,) * 8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_matches_quine_mccluskey(self, arity, density, seed):
+        rng = np.random.default_rng(seed)
+        outputs = rng.random(1 << arity) < density
+        outputs[rng.integers(1 << arity)] = True
+        tt = TruthTable(arity, tuple(int(b) for b in outputs))
+        assert prime_implicants(tt) == prime_implicants_qm(tt)
+
+    @pytest.mark.parametrize("arity", range(10))
+    def test_constant_one_and_single_minterm_match_quine_mccluskey(self, arity):
+        size = 1 << arity
+        for outputs in ((1,) * size, tuple(int(i == size - 1) for i in range(size))):
+            tt = TruthTable(arity, outputs)
+            assert prime_implicants(tt) == prime_implicants_qm(tt)
 
     def test_cover_is_exact_for_known_cyclic_table(self):
         # Classic cyclic function: no essential primes, exact cover size 3.

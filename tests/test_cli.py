@@ -224,6 +224,33 @@ class TestSearch:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_seed_out_of_range_exit_1(self, capsys, tmp_path, seed):
+        out_path = tmp_path / "catalog.jsonl"
+        code, out, err = run(
+            capsys, "search", "--pop", "2", "--gens", "1", "--seed", seed, "--out", str(out_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must lie in [0, 2**63)\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("name", ["missing/catalog.jsonl", "."])
+    def test_unwritable_out_fails_before_search(self, capsys, tmp_path, name):
+        with mock.patch("lifelike.search.run_ga") as run_ga:
+            code, out, err = run(capsys, "search", "--out", str(tmp_path / name))
+        run_ga.assert_not_called()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: catalog ") and err.count("\n") == 1
+
+    def test_failed_search_keeps_existing_catalog(self, capsys, tmp_path):
+        out_path = tmp_path / "catalog.jsonl"
+        out_path.write_text("kept\n")
+        code, _, _ = run(capsys, "search", "--seed", "-1", "--out", str(out_path))
+        assert code == 1
+        assert out_path.read_text() == "kept\n"
+
     def test_small_search_writes_catalog(self, capsys, tmp_path):
         out_path = tmp_path / "catalog.jsonl"
         args = (

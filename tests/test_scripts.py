@@ -31,11 +31,3 @@ def test_reproduce_gol_measures():
     assert round(report["static_distance"], 2) == 18.79
     assert len(report["dynamic"]) == 4 and report["dynamic_distance"] >= 0
 
-
-def test_render_self_replicator(tmp_path):
-    out = tmp_path / "frames"
-    last = run_script(
-        "render_self_replicator.py", "--size", "20", "20", "--steps", "3", "--out", str(out)
-    )
-    assert last == f"wrote frames 0..3 (every 1) to {out}/"
-    assert (out / "mfield-0003.ppm").read_bytes().startswith(b"P6\n")

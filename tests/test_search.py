@@ -42,6 +42,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             GAConfig(target=(1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"dyn_runs": 0},
+            {"dyn_max_steps": 0},
+            {"dyn_dims": (2, 2)},
+            {"dyn_density": 1.5},
+        ],
+    )
+    def test_dynamic_settings_checked_at_construction(self, field):
+        with pytest.raises(ValueError):
+            GAConfig(**field)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            GAConfig(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert GAConfig(seed=2**63 - 1).seed == 2**63 - 1
+
     @pytest.mark.parametrize("generations", [0, -3])
     def test_at_least_one_generation(self, generations):
         with pytest.raises(ValueError, match="generation"):
