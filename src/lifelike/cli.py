@@ -69,13 +69,20 @@ def _dynamic_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
 
 
+def _check_seed(seed: int) -> int:
+    """--seed of a sampling command; numpy seeds cannot be negative."""
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _dynamic_params(args) -> measures.DynamicParams:
     return measures.DynamicParams(
         runs=args.runs,
         dims=_parse_size(args.size),
         max_steps=args.steps,
         density=args.density,
-        seed=args.seed,
+        seed=_check_seed(args.seed),
     )
 
 
@@ -181,7 +188,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_simulate(args) -> int:
     tt = rules.parse_rule_spec(args.rule, args.bit_order)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_seed(args.seed))
     if args.seed_pattern is not None:
         lattice = simulator.load_pattern(args.seed_pattern)
         if tt.arity == rules.ELEMENTARY_ARITY:
@@ -232,11 +239,15 @@ def _parse_target(text: str) -> tuple[float, ...]:
     Integers parse as floats, so one too large for a float reads as
     infinite and is rejected like NaN and Infinity.
     """
-    values = json.loads(text, parse_int=float)
+    message = f"--target must be a JSON array of 8 finite numbers, got {text!r}"
+    try:
+        values = json.loads(text, parse_int=float)
+    except json.JSONDecodeError:
+        raise ValueError(message) from None
     if not isinstance(values, list) or len(values) != 8 or any(
         type(v) is not float or not math.isfinite(v) for v in values
     ):
-        raise ValueError(f"--target must be a JSON array of 8 finite numbers, got {text!r}")
+        raise ValueError(message)
     return tuple(values)
 
 
@@ -306,6 +317,9 @@ def _cmd_validate_h(args) -> int:
 
 
 def _cmd_import(args) -> int:
+    # Checked before any line is read: a rule number of arity A has 2^A bits.
+    if not 0 <= args.arity <= rules.MOORE_ARITY:
+        raise ValueError(f"--arity must lie in [0, {rules.MOORE_ARITY}], got {args.arity}")
     params = None
     if args.with_dynamic:
         params = _dynamic_params(args)

@@ -5,14 +5,20 @@ rules, 2D arrays for Moore-neighborhood rules. Boundaries are always
 toroidal. Every update looks its cells up in a 2^m table keyed by the
 packed neighborhood index, so one engine serves all rules.
 
-The index is separable. Two rolls along the last axis give each cell a
-3-bit row code (left, center, right), which is already the elementary
-index; two rolls along the row axis stack the codes of the rows above,
-at and below a cell into the 9-bit Moore index. The rolls act on the
-trailing lattice axes only, so one call indexes a whole stack of
-lattices, shape (n, N) or (n, H, W); the dynamic measure evolves its
-runs that way. `evolve` indexes each frame once and reads both the next
-state and the M code from that one index.
+The index is separable and read at flat offsets. A `Torus` keeps its
+lattice, or each lattice of a stack, in one uint8 buffer with a one-cell
+toroidal halo, shape (..., N+2) or (..., H+2, W+2), whose edges copy the
+opposite ones. Over the flattened buffer, offsets -1, 0 and +1 give every
+cell a 3-bit row code (left, center, right), which is already the
+elementary index; offsets -(W+2), 0 and +(W+2) stack the codes of the
+rows above, at and below into the 9-bit Moore index. Each operation is
+one contiguous pass over the whole stack, without wrap logic: positions
+in the halo get an index too (at most 511), which is never read. A step
+looks every position up in one pass, which yields the next buffer in the
+same layout, and then refreshes its halo with 2 slice copies in 1D, 4 in
+2D. `evolve` and the dynamic measure keep a `Torus` across steps, pad
+only once, and read both the next state and the M code from one index
+per step; a stack sheds its leading lattices as a contiguous slice.
 
 The next state is read from the rule's truth table, the M code from the
 M-coded table of its `RuleProfile`, which is built once per rule and is
@@ -71,6 +77,77 @@ def random_lattice(
     return (rng.random(dims) < density).astype(np.uint8)
 
 
+class Torus:
+    """Lattices on the torus, held in a wrap-padded uint8 buffer.
+
+    The last `rank` axes of `c` form one lattice (1: elementary, 2: Moore);
+    any leading axes index a stack of lattices, each with its own halo.
+    """
+
+    def __init__(self, c: np.ndarray, rank: int) -> None:
+        if rank not in (1, 2) or c.ndim < rank:
+            raise LatticeError(f"cannot index rank-{rank} lattices in a {c.ndim}D array")
+        lead = c.ndim - rank
+        self.rank = rank
+        self._inner = (Ellipsis,) + (slice(1, -1),) * rank
+        self.buf = np.empty(c.shape[:lead] + tuple(s + 2 for s in c.shape[lead:]), np.uint8)
+        self.buf[self._inner] = c
+        self._wrap()
+
+    def _wrap(self) -> None:
+        """Copy every lattice's edges into the opposite halo, corners included."""
+        buf = self.buf
+        buf[..., 0] = buf[..., -2]
+        buf[..., -1] = buf[..., 1]
+        if self.rank == 2:
+            buf[..., 0, :] = buf[..., -2, :]
+            buf[..., -1, :] = buf[..., 1, :]
+
+    def interior(self, a: np.ndarray) -> np.ndarray:
+        """View of the lattice cells of `a`, an array shaped like the buffer."""
+        return a[self._inner]
+
+    def index(self) -> np.ndarray:
+        """Neighborhood index of every buffer position, shaped like the buffer.
+
+        Interior positions hold their cell's packed index; halo positions
+        hold some index below the table size.
+        """
+        f = self.buf.reshape(-1)
+        # Rows of positions [1, size - 1). uint8 multiply-add: numpy has
+        # no SIMD loop for a uint8 shift.
+        row = f[:-2] * np.uint8(4)
+        row += f[1:-1]
+        row += f[1:-1]
+        row += f[2:]
+        if self.rank == 1:
+            index = np.empty(f.size, np.uint8)
+            index[1:-1] = row
+            index[:1] = index[-1:] = 0
+            return index.reshape(self.buf.shape)
+        w = self.buf.shape[-1]
+        top = row[:-2 * w] * np.uint8(8)
+        top += row[w:-w]
+        # Positions [w + 1, size - w - 1) hold every interior cell.
+        index = np.empty(f.size, np.uint16)
+        moore = index[w + 1:f.size - w - 1]
+        np.left_shift(top, 3, out=moore, dtype=np.uint16)
+        moore += row[2 * w:]
+        index[:w + 1] = index[f.size - w - 1:] = 0
+        return index.reshape(self.buf.shape)
+
+    def advance(self, states: np.ndarray, index: np.ndarray, drop: int = 0) -> None:
+        """Step every lattice by looking `index` up in `states`.
+
+        `index` comes from `index()` on the current buffer; the first
+        `drop` lattices of a stack leave it instead of stepping.
+        """
+        # A new array, not `out=` into the old buffer: numpy's take is
+        # slower with `out`, and the halo is refreshed either way.
+        self.buf = np.take(states, index[drop:])
+        self._wrap()
+
+
 def neighborhood_index_field(c: np.ndarray, rank: int | None = None) -> np.ndarray:
     """Packed neighborhood index of every cell, toroidal wrap.
 
@@ -78,15 +155,8 @@ def neighborhood_index_field(c: np.ndarray, rank: int | None = None) -> np.ndarr
     any leading axes index a stack of lattices. `rank` defaults to c.ndim,
     a single lattice.
     """
-    if rank is None:
-        rank = c.ndim
-    if rank not in (1, 2) or c.ndim < rank:
-        raise LatticeError(f"cannot index rank-{rank} lattices in a {c.ndim}D array")
-    c = c.astype(np.uint16)
-    row = (np.roll(c, 1, -1) << 2) | (c << 1) | np.roll(c, -1, -1)
-    if rank == 1:
-        return row
-    return (np.roll(row, 1, -2) << 6) | (row << 3) | np.roll(row, -1, -2)
+    torus = Torus(c, c.ndim if rank is None else rank)
+    return torus.interior(torus.index())
 
 
 def step(c: np.ndarray, tt: TruthTable) -> np.ndarray:
@@ -113,13 +183,14 @@ def evolve(c0: np.ndarray, profile: RuleProfile, steps: int) -> EvolutionHistory
     if steps < 0:
         raise ValueError("step count must be non-negative")
     frames = [np.array(c0, dtype=np.uint8)]
-    rank = _check_dims(frames[0], profile.tt)
+    torus = Torus(frames[0], _check_dims(frames[0], profile.tt))
     states = profile.tt.as_array()
     mfields: list[np.ndarray] = []
     for _ in range(steps):
-        index = neighborhood_index_field(frames[-1], rank)
-        mfields.append(np.take(profile.mcodes, index))
-        frames.append(np.take(states, index))
+        index = torus.index()
+        mfields.append(np.take(profile.mcodes, torus.interior(index)))
+        torus.advance(states, index)
+        frames.append(torus.interior(torus.buf).copy())
     return EvolutionHistory(frames, mfields)
 
 

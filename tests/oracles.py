@@ -4,8 +4,10 @@ one test file needs."""
 import numpy as np
 
 from lifelike import boolmin
-from lifelike.heval import HTables
+from lifelike.heval import HTables, RuleProfile
+from lifelike.measures import BehaviorVector, DynamicParams
 from lifelike.rules import TruthTable, neighborhood_index
+from lifelike.simulator import random_lattice
 
 #: Row-major offsets of the 2D Moore neighborhood, most significant first.
 MOORE_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
@@ -31,6 +33,25 @@ def step_naive(c: np.ndarray, tt: TruthTable) -> np.ndarray:
     """Reference engine: per-cell Python loop over one lattice."""
     outputs = np.array(tt.outputs, dtype=np.uint8)
     return outputs[index_field_naive(c)]
+
+
+def dynamic_measure_naive(profile: RuleProfile, params: DynamicParams) -> BehaviorVector:
+    """Reference dynamic measure: each run evolved alone by the per-cell engine.
+
+    Run i draws its sampling step k from the (seed, i) stream, then its
+    initial lattice; its cells are classified from the index of step k.
+    """
+    states = np.array(profile.tt.outputs, dtype=np.uint8)
+    percentages = []
+    for run in range(params.runs):
+        rng = np.random.default_rng([params.seed, run])
+        k = int(rng.integers(1, params.max_steps + 1))
+        c = random_lattice(params.dims, params.density, rng)
+        for _ in range(k - 1):
+            c = states[index_field_naive(c)]
+        counts = np.bincount(profile.mcodes[index_field_naive(c)].ravel(), minlength=6)
+        percentages.append(counts / counts.sum() * 100)
+    return BehaviorVector.from_counts(np.array(percentages).mean(axis=0))
 
 
 def eval_m_naive(expr: boolmin.BoolExpr, cells, tables: HTables) -> int:

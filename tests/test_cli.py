@@ -64,6 +64,7 @@ class TestExitCodes:
             "[1, 2, 3, 4, 5, 6, 7, true]",
             "[1, 2, 3, 4, 5, 6, 7, NaN]",
             "[1, 2, 3, 4, 5, 6, 7, Infinity]",
+            "[1,2,3,4,5,6,7,nan]",
         ],
     )
     def test_search_bad_target_exit_1(self, capsys, tmp_path, target):
@@ -73,8 +74,38 @@ class TestExitCodes:
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: --target must be a JSON array of 8 finite numbers")
+        assert err.count("\n") == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv,seed",
+        [
+            (("dynamic", "elem:110", "--runs", "1", "--size", "8"), "-5"),
+            (("simulate", "elem:110", "--size", "8", "--steps", "1", "--out", "{tmp}/frames"), "-1"),
+            (("import", "{tmp}/r.txt", "--arity", "3", "--with-dynamic", "--size", "8"), "-1"),
+        ],
+        ids=["dynamic", "simulate", "import"],
+    )
+    def test_negative_seed_exit_1(self, capsys, tmp_path, argv, seed):
+        (tmp_path / "r.txt").write_text("110\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --seed must be a non-negative integer, got {seed}\n"
+        assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("arity", ["-1", "10"])
+    def test_import_arity_out_of_range_exit_1_before_reading(self, capsys, tmp_path, arity):
+        rules_file = tmp_path / "r.txt"
+        rules_file.write_text("1\n2\n")
+        with mock.patch("lifelike.catalog.import_published_rules") as import_rules:
+            code, out, err = run(capsys, "import", str(rules_file), "--arity", arity)
+        import_rules.assert_not_called()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --arity must lie in [0, 9], got {arity}\n"
 
     @pytest.mark.parametrize("gens", ["0", "-3"])
     def test_search_without_generations_exit_1(self, capsys, tmp_path, gens):

@@ -16,7 +16,9 @@ from lifelike.measures import (
 )
 from lifelike import measures
 from lifelike.heval import rule_profile
-from lifelike.rules import TruthTable, elementary, gol_truth_table
+from lifelike.rules import MOORE_ARITY, TruthTable, elementary, gol_truth_table
+
+from oracles import dynamic_measure_naive
 
 # Published (stability, decrease, growth, chaoticity) vectors, static then
 # dynamic, of the search target and the four selected found rules.
@@ -123,6 +125,26 @@ class TestDynamicMeasure:
             params = DynamicParams(runs=2, dims=dims, max_steps=5, seed=0)
             with pytest.raises(MeasureError):
                 dynamic_measure(profile, params)
+
+    @given(
+        st.booleans(), st.integers(3, 9), st.integers(3, 9), st.integers(1, 12),
+        st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**30),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_runs_evolved_alone(self, moore, rows, cols, runs, max_steps, per_stack, seed):
+        # A stack of `per_stack` lattices: stacks split, and runs leave mid-stack.
+        rng = np.random.default_rng(seed)
+        if moore:
+            bits = rng.random(512) < rng.uniform(0.2, 0.8)
+            profile = rule_profile(TruthTable(MOORE_ARITY, tuple(int(b) for b in bits)), "greedy")
+            dims = (rows, cols)
+        else:
+            profile = rule_profile(elementary(int(rng.integers(256))))
+            dims = rows * cols
+        params = DynamicParams(runs=runs, dims=dims, max_steps=max_steps, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_STACK_CELLS", per_stack * rows * cols)
+            assert dynamic_measure(profile, params) == dynamic_measure_naive(profile, params)
 
     def test_param_validation(self):
         with pytest.raises(MeasureError):

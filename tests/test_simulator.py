@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelike.heval import rule_profile
-from lifelike.rules import elementary, gol_truth_table, state_of
+from lifelike.rules import MOORE_ARITY, TruthTable, elementary, gol_truth_table, state_of
 from lifelike.simulator import (
     LatticeError,
     averaged_spacetime,
@@ -56,19 +56,26 @@ class TestGameOfLifePatterns:
         assert np.array_equal(step(c, tt), c)
 
 
+#: Lattice sides of the oracle tests. Sides 1 and 2 make a halo cell copy
+#: the cell beside it, or the cell itself.
+SIDES = st.integers(1, 9)
+
+
 class TestEngines:
-    @given(st.integers(0, 255), st.integers(0, 2**30))
+    @given(st.integers(0, 255), SIDES, st.integers(0, 2**30))
     @settings(max_examples=30, deadline=None)
-    def test_fast_matches_naive_1d(self, rule, seed):
+    def test_fast_matches_naive_1d(self, rule, cells, seed):
         tt = elementary(rule)
-        c = random_lattice(17, 0.5, np.random.default_rng(seed))
+        c = random_lattice(cells, 0.5, np.random.default_rng(seed))
+        assert np.array_equal(neighborhood_index_field(c), index_field_naive(c))
         assert np.array_equal(step(c, tt), step_naive(c, tt))
 
-    @given(st.integers(0, 2**30))
-    @settings(max_examples=10, deadline=None)
-    def test_fast_matches_naive_gol(self, seed):
+    @given(SIDES, SIDES, st.integers(0, 2**30))
+    @settings(max_examples=30, deadline=None)
+    def test_fast_matches_naive_gol(self, rows, cols, seed):
         tt = gol_truth_table()
-        c = random_lattice((9, 11), 0.4, np.random.default_rng(seed))
+        c = random_lattice((rows, cols), 0.4, np.random.default_rng(seed))
+        assert np.array_equal(neighborhood_index_field(c), index_field_naive(c))
         assert np.array_equal(step(c, tt), step_naive(c, tt))
 
     def test_translation_equivariance_on_torus(self):
@@ -112,7 +119,7 @@ class TestNeighborhoodIndexField:
 
 
 class TestStacks:
-    @given(st.integers(1, 4), st.integers(3, 9), st.integers(3, 9), st.integers(0, 2**30))
+    @given(st.integers(1, 4), SIDES, SIDES, st.integers(0, 2**30))
     @settings(max_examples=25, deadline=None)
     def test_moore_stack_matches_per_lattice_oracle(self, n, rows, cols, seed):
         tt = gol_truth_table()
@@ -123,7 +130,7 @@ class TestStacks:
             assert np.array_equal(lattice_idx, index_field_naive(lattice))
             assert np.array_equal(lattice_next, step_naive(lattice, tt))
 
-    @given(st.integers(1, 4), st.integers(3, 20), st.integers(0, 255), st.integers(0, 2**30))
+    @given(st.integers(1, 4), SIDES, st.integers(0, 255), st.integers(0, 2**30))
     @settings(max_examples=25, deadline=None)
     def test_elementary_stack_matches_per_lattice_oracle(self, n, cells, rule, seed):
         tt = elementary(rule)
@@ -177,6 +184,18 @@ class TestEvolve:
         for t, field in enumerate(h.mfields):
             assert np.array_equal(field, m_field(h.frames[t], profile))
             assert np.array_equal(h.frames[t + 1], step(h.frames[t], tt))
+
+    @given(SIDES, SIDES, st.integers(0, 6), st.integers(0, 2**30))
+    @settings(max_examples=15, deadline=None)
+    def test_random_moore_rule_matches_iterated_oracle(self, rows, cols, steps, seed):
+        rng = np.random.default_rng(seed)
+        tt = TruthTable(MOORE_ARITY, tuple(int(b) for b in rng.random(512) < rng.uniform(0.2, 0.8)))
+        profile = rule_profile(tt, "greedy")
+        h = evolve(random_lattice((rows, cols), 0.5, rng), profile, steps)
+        assert len(h.frames) == steps + 1 and len(h.mfields) == steps
+        for t, field in enumerate(h.mfields):
+            assert np.array_equal(field, profile.mcodes[index_field_naive(h.frames[t])])
+            assert np.array_equal(h.frames[t + 1], step_naive(h.frames[t], tt))
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
