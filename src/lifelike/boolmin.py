@@ -3,10 +3,11 @@
 Pipeline: a table that is x ^ g for some variable x (Shannon parity
 split, lowest x first) becomes x ^ minimize(g) without being covered;
 any other table goes through prime implicants read off one (3,)*m cube
-array -> minimum sum-of-products cover (Petrick's method exactly, or a
-deterministic greedy fallback for large instances) -> XOR extraction
-(pairwise rewrites of complementary literal pairs, chosen each round by
-the in-tree maximum-cardinality matching of `matching`).
+array, in cube_key order -> minimum sum-of-products cover (Petrick's
+method exactly, or a deterministic greedy fallback for large instances)
+-> XOR extraction (pairwise rewrites of complementary literal pairs,
+chosen each round by the in-tree maximum-cardinality matching of
+`matching`).
 
 A cube is one (mask, value) pair of ints from the prime implicants to
 the XOR terms. Covering reads a bool primes x minterms coverage matrix;
@@ -15,9 +16,13 @@ of inclusion-minimal terms. XOR extraction keeps (mask, value, xors)
 terms, xors a sorted tuple of (a, b) variable pairs, and tests merges only
 inside (mask, xors) buckets.
 
-Expressions are canonical: n-ary node children are sorted by a
-variable-index-lexicographic key and duplicates are removed, so identical
-truth tables always minimize to structurally identical trees.
+The minimizer stops at a `MinimalForm`: the split variables, a negation
+bit and the extracted terms, in the order the expression tree lists its
+products. `heval` folds M tables straight from it; `MinimalForm.to_expr`
+builds the tree only for display. Expressions are canonical: n-ary node
+children are sorted by a variable-index-lexicographic key and duplicates
+are removed, so identical truth tables always minimize to structurally
+identical trees.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ ELEMENTARY_NAMES = ("p", "q", "r")
 #: Cap on Petrick product terms before exact covering gives up.
 EXACT_BUDGET = 2_000
 
-#: Accepted `mode` values of minimize and minimize_detailed.
+#: Accepted `mode` values of minimal_form, minimize and minimize_detailed.
 COVER_MODES = ("exact", "greedy", "auto")
 
 
@@ -77,6 +82,10 @@ class Xor:
 
 
 BoolExpr = Union[Var, Const, Not, And, Or, Xor]
+
+#: A product term (mask, value, xors): a cube over index bits and a sorted
+#: tuple of (a, b) variable pairs, one factor a ^ b each.
+Term = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 def _key_parts(expr: BoolExpr) -> tuple[tuple[int, ...], str]:
@@ -250,6 +259,9 @@ class Implicant:
     `mask` has a 1 on every cared-about bit; `value` fixes those bits and
     is 0 on don't-care positions. Variable j of an arity-m rule sits at
     bit position m-1-j (matching neighborhood_index).
+
+    The cube_key of a cube lists one digit per variable: its fixed bit,
+    or 2 where it is free. Primes and covers come in cube_key order.
     """
 
     mask: int
@@ -259,42 +271,20 @@ class Implicant:
         if self.value & ~self.mask:
             raise ValueError("value bits must be zero on don't-care positions")
 
-    def covers(self, minterm: int) -> bool:
-        return (minterm & self.mask) == self.value
-
     @property
     def literal_count(self) -> int:
         return self.mask.bit_count()
 
-    def cube_key(self, arity: int) -> tuple[int, ...]:
-        """Per-variable digits 0/1/2, don't-care sorting last."""
-        digits = []
-        for j in range(arity):
-            bit = 1 << (arity - 1 - j)
-            digits.append((self.value >> (arity - 1 - j)) & 1 if self.mask & bit else 2)
-        return tuple(digits)
 
-    def literals(self, arity: int) -> list[BoolExpr]:
-        """The cube's literals x_j or !x_j, in variable order."""
-        literals = []
-        for j in range(arity):
-            bit = 1 << (arity - 1 - j)
-            if self.mask & bit:
-                var: BoolExpr = Var(j)
-                literals.append(var if self.value & bit else make_not(var))
-        return literals
-
-    def to_expr(self, arity: int) -> BoolExpr:
-        return make_and(self.literals(arity))
-
-
-def prime_implicants(tt: TruthTable) -> frozenset[Implicant]:
+def prime_implicants(tt: TruthTable) -> tuple[Implicant, ...]:
     """Complete prime implicant set of the on-set, read off the cube lattice.
 
     Axis j of the (3,)*m array is variable j: digit 0 or 1 fixes x_j, digit
     2 frees it. imp marks the cubes holding only on-set minterms (the
     digit-2 slice along an axis is the AND of its 0 and 1 slices); a prime
     is an implicant that stops being one when any fixed variable is freed.
+    np.argwhere walks the array in row-major order, so the primes come
+    sorted by cube_key.
     """
     if not tt.onset:
         raise ValueError("constant-0 table has no implicants")
@@ -308,7 +298,7 @@ def prime_implicants(tt: TruthTable) -> frozenset[Implicant]:
     digits = np.argwhere(prime)  # one row per prime, column j for variable j
     bits = 1 << np.arange(m - 1, -1, -1)
     masks, values = ((digits < 2) @ bits).tolist(), ((digits == 1) @ bits).tolist()
-    return frozenset(map(Implicant, masks, values))
+    return tuple(map(Implicant, masks, values))
 
 
 def minimal_cover(
@@ -316,7 +306,8 @@ def minimal_cover(
     tt: TruthTable,
     mode: str = "exact",
 ) -> tuple[Implicant, ...]:
-    """Select a cover of tt's on-set from its prime implicants.
+    """Select a cover of tt's on-set from its prime implicants, which
+    come in cube_key order, as prime_implicants returns them.
 
     mode="exact" finds a minimum-cardinality cover via Petrick's method
     (ties: fewest literals, then lexicographically smallest cube list) on
@@ -333,12 +324,10 @@ def minimal_cover(
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown cover mode {mode!r}")
-    arity = tt.arity
-    ordered = sorted(primes, key=lambda p: p.cube_key(arity))
-    masks = np.array([p.mask for p in ordered], dtype=np.uint16)
-    values = np.array([p.value for p in ordered], dtype=np.uint16)
+    masks = np.array([p.mask for p in primes], dtype=np.uint16)
+    values = np.array([p.value for p in primes], dtype=np.uint16)
     onset = tt.as_array().astype(bool)
-    minterms = np.arange(1 << arity, dtype=np.uint16)
+    minterms = np.arange(1 << tt.arity, dtype=np.uint16)
     coverage = ((minterms & masks[:, None]) == values[:, None]) & onset
     if (coverage.any(axis=0) != onset).any():
         raise ValueError("primes do not cover the on-set")
@@ -353,7 +342,7 @@ def minimal_cover(
             chosen.append(best)
             uncovered &= ~newly
             gains -= coverage[:, newly].sum(axis=1)
-        return tuple(ordered[i] for i in sorted(chosen))
+        return tuple(primes[i] for i in sorted(chosen))
 
     # Essential primes are forced into every cover.
     hitmap = {m: np.flatnonzero(coverage[:, m]).tolist() for m in tt.onset}
@@ -378,10 +367,10 @@ def minimal_cover(
         def cover_key(term: int) -> tuple:
             # Ascending prime indices compare as the cube_key lists do.
             indices = _bit_indices(term)
-            return (len(indices), sum(ordered[i].literal_count for i in indices), indices)
+            return (len(indices), sum(primes[i].literal_count for i in indices), indices)
 
         chosen.update(_bit_indices(min(products, key=cover_key)))
-    return tuple(ordered[i] for i in sorted(chosen))
+    return tuple(primes[i] for i in sorted(chosen))
 
 
 def _bit_indices(term: int) -> list[int]:
@@ -445,18 +434,6 @@ def _expand_minimal(products: set[int], hits: list[int]) -> set[int]:
 
 # --- XOR extraction ---------------------------------------------------------
 
-def _remap_vars(expr: BoolExpr, removed: int) -> BoolExpr:
-    """Shift variable indices >= removed up by one (undo a cofactor)."""
-    if isinstance(expr, Var):
-        return Var(expr.index + 1 if expr.index >= removed else expr.index)
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Not):
-        return make_not(_remap_vars(expr.child, removed))
-    ctor = {And: make_and, Or: make_or, Xor: make_xor}[type(expr)]
-    return ctor([_remap_vars(c, removed) for c in expr.children])
-
-
 def _term_key(term: tuple, arity: int) -> tuple:
     """Sort key of a (mask, value, xors) term: its (variable, bit) literals
     in variable order, then its sorted XOR pairs."""
@@ -513,38 +490,107 @@ def _merge_complementary(terms: list[tuple], arity: int) -> list[tuple]:
         terms = merged + [t for k, t in enumerate(terms) if k not in matched]
 
 
-def xor_extract(sop: Sequence[Implicant], arity: int) -> BoolExpr:
-    """Rewrite a minimal SOP cover into a mixed-operator expression.
+def _product_key(term: Term, arity: int) -> tuple:
+    """canonical_key of the product MinimalForm.to_expr builds for term,
+    computed without building it: literals x_j / !x_j by variable, then
+    one (a ^ b) factor per XOR pair."""
+    mask, value, xors = term
+    seq = [j for j in range(arity) if mask >> (arity - 1 - j) & 1]
+    tags = [f"x{j}" if value >> (arity - 1 - j) & 1 else f"!x{j}" for j in seq]
+    for a, b in xors:
+        seq += (a, b)
+        tags.append(f"(x{a}^x{b})")
+    if len(tags) > 1:
+        return (1, tuple(seq), "(" + "&".join(tags) + ")")
+    return (1 if xors else 0, tuple(seq), tags[0])
+
+
+def xor_extract(sop: Sequence[Implicant], arity: int) -> tuple[Term, ...]:
+    """Rewrite a minimal SOP cover into mixed-operator product terms.
 
     Each cube becomes a (mask, value, xors) term: the Implicant's cube
     and a sorted tuple of (a, b) variable pairs, one factor a ^ b each.
     Pairwise rewrites (a & !b) | (!a & b) -> a ^ b over complementary
-    literal pairs run to a fixpoint; the rest stays as an Or of And terms,
-    each one make_and over a term's literals and XOR factors.
+    literal pairs run to a fixpoint. The terms come back in the order, and
+    with the duplicates removed, that make_or gives their products.
     """
-    products = []
-    for mask, value, xors in _merge_complementary([(c.mask, c.value, ()) for c in sop], arity):
-        factors = [make_xor([Var(a), Var(b)]) for a, b in xors]
-        products.append(make_and([*Implicant(mask, value).literals(arity), *factors]))
-    return make_or(products)
+    terms = _merge_complementary([(c.mask, c.value, ()) for c in sop], arity)
+    return tuple(dict.fromkeys(sorted(terms, key=lambda t: _product_key(t, arity))))
 
 
-def _minimize(tt: TruthTable, mode: str) -> tuple[BoolExpr, str]:
-    """(expression, cover mode used) for a mode from COVER_MODES."""
+@dataclass(frozen=True)
+class MinimalForm:
+    """A minimized truth table, before any expression tree is built.
+
+    It reads splits[0] ^ splits[1] ^ ... ^ core, negated when `negated`
+    is set, where core is the Or of `terms`' products, or the constant 0
+    without terms. `splits` are the parity-split variables, ascending;
+    each term is a (mask, value, xors) cube whose product is its literals
+    in variable order, then one a ^ b factor per pair in xors. `terms`
+    come in the order of the tree's Or children, which is also the order
+    heval folds them in. `cover_mode` is the cover mode actually used
+    ("exact" or "greedy").
+    """
+
+    arity: int
+    splits: tuple[int, ...]
+    negated: bool
+    terms: tuple[Term, ...]
+    cover_mode: str
+
+    def to_expr(self) -> BoolExpr:
+        """The canonical expression tree of the form."""
+        m = self.arity
+        products = []
+        for mask, value, xors in self.terms:
+            literals = [
+                Var(j) if value >> (m - 1 - j) & 1 else Not(Var(j))
+                for j in range(m)
+                if mask >> (m - 1 - j) & 1
+            ]
+            factors = [make_xor([Var(a), Var(b)]) for a, b in xors]
+            products.append(make_and([*literals, *factors]))
+        return make_xor([*map(Var, self.splits), make_or(products), Const(int(self.negated))])
+
+
+def _split_form(sub: MinimalForm, var: int) -> MinimalForm:
+    """x_var ^ sub, sub's variables from var on shifted up by one.
+
+    The shift keeps every order: variable indices are single digits, so
+    canonical tags compare as before.
+    """
+    m = sub.arity + 1
+    low = (1 << (m - 1 - var)) - 1  # index bits of the variables after var
+
+    def bits(x: int) -> int:
+        return (x & ~low) << 1 | (x & low)
+
+    def index(j: int) -> int:
+        return j + (j >= var)
+
+    terms = tuple(
+        (bits(mask), bits(value), tuple((index(a), index(b)) for a, b in xors))
+        for mask, value, xors in sub.terms
+    )
+    splits = (var, *map(index, sub.splits))
+    return MinimalForm(m, splits, sub.negated, terms, sub.cover_mode)
+
+
+def _minimal_form(tt: TruthTable, mode: str) -> MinimalForm:
     used = "greedy" if mode == "greedy" else "exact"
-    if not any(tt.outputs):
-        return Const(0), used
-    if all(tt.outputs):
-        return Const(1), used
     m = tt.arity
+    if not any(tt.outputs) or all(tt.outputs):
+        return MinimalForm(m, (), bool(tt.outputs[0]), (), used)
     # Axis j of the (2,)*m view is variable j (index bit m-1-j): index 0
-    # along it is the cofactor x_j = 0, other variables in order.
+    # along it is the cofactor x_j = 0, other variables in order. Every
+    # variable the cofactor splits on also splits tt, so it lies above var
+    # and the form's splits come out ascending.
     table = tt.as_array().reshape((2,) * m)
     for var in range(m):
         f0 = table.take(0, axis=var)
         if (f0 != table.take(1, axis=var)).all():
-            sub, used = _minimize(TruthTable(m - 1, tuple(f0.ravel().tolist())), mode)
-            return make_xor([Var(var), _remap_vars(sub, var)]), used
+            sub = _minimal_form(TruthTable(m - 1, tuple(f0.ravel().tolist())), mode)
+            return _split_form(sub, var)
     primes = prime_implicants(tt)
     try:
         cover = minimal_cover(primes, tt, used)
@@ -553,16 +599,23 @@ def _minimize(tt: TruthTable, mode: str) -> tuple[BoolExpr, str]:
             raise
         used = "greedy"
         cover = minimal_cover(primes, tt, used)
-    return xor_extract(cover, m), used
+    return MinimalForm(m, (), False, xor_extract(cover, m), used)
 
 
-def minimize(tt: TruthTable, mode: str = "auto") -> BoolExpr:
-    """Minimal mixed-operator expression of a truth table.
+def minimal_form(tt: TruthTable, mode: str = "auto") -> MinimalForm:
+    """Minimal mixed-operator form of a truth table.
 
     mode: "exact" | "greedy" | "auto" (exact within EXACT_BUDGET, then
     greedy). A parity split x ^ g is taken before any covering, so only
     g is covered.
     """
+    if mode not in COVER_MODES:
+        raise ValueError(f"unknown cover mode {mode!r}")
+    return _minimal_form(tt, mode)
+
+
+def minimize(tt: TruthTable, mode: str = "auto") -> BoolExpr:
+    """Minimal mixed-operator expression of a truth table (see minimal_form)."""
     expr, _ = minimize_detailed(tt, mode)
     return expr
 
@@ -570,6 +623,5 @@ def minimize(tt: TruthTable, mode: str = "auto") -> BoolExpr:
 def minimize_detailed(tt: TruthTable, mode: str = "auto") -> tuple[BoolExpr, str]:
     """Like minimize, also reporting the cover mode actually used
     ("exact" or "greedy") for the table that was covered."""
-    if mode not in COVER_MODES:
-        raise ValueError(f"unknown cover mode {mode!r}")
-    return _minimize(tt, mode)
+    form = minimal_form(tt, mode)
+    return form.to_expr(), form.cover_mode

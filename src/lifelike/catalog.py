@@ -13,7 +13,7 @@ from typing import Any, Iterable, TextIO
 
 from .heval import rule_profile
 from .measures import MeasureError, correlation, dynamic_measure, static_measure
-from .rules import RuleError, RuleNumber, decode_rule_number
+from .rules import MOORE_ARITY, RuleError, RuleNumber, decode_rule_number
 
 _VECTOR_TOLERANCE = 1e-6
 
@@ -107,8 +107,11 @@ def import_published_rules(
     `dynamic_params` to also sample the dynamic measure (off by default —
     decoding hundreds of rules should not force hundreds of simulations).
     Malformed lines are reported to `diagnostics` with their line number
-    and skipped; the remaining lines still produce records.
+    and skipped; the remaining lines still produce records. An arity
+    outside [0, 9] raises CatalogError before the file is opened.
     """
+    if not 0 <= arity <= MOORE_ARITY:
+        raise CatalogError(f"arity must lie in [0, {MOORE_ARITY}], got {arity}")
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

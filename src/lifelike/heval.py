@@ -1,4 +1,4 @@
-"""Six-valued operator tables and behavior-aware evaluation of rule trees.
+"""Six-valued operator tables and behavior-aware evaluation of minimal forms.
 
 Each cell of the truth table is re-evaluated over the M code (state bit
 plus behavior label) instead of plain bits: leaves map 0 -> M=0 and
@@ -12,18 +12,21 @@ state-0 results, and a destroyed live input (operand states differing
 under AND) reads as decrease. n-ary nodes are folded left-associatively
 over their canonically sorted children.
 
-`rule_profile` minimizes a rule once and M-codes its whole truth table;
-the measures, the simulator, the search and the CLI all read that profile.
+`eval_g_all` folds a `boolmin.MinimalForm` in exactly that order without
+building its tree. `rule_profile` minimizes a rule once and M-codes its
+whole truth table; the measures, the simulator, the search and the CLI
+all read that profile, and only code that shows the expression builds it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import boolmin
-from .boolmin import BoolExpr
+from .boolmin import BoolExpr, MinimalForm
 from .rules import (
     CHAOTIC_CODES,
     DECREASE_CODES,
@@ -100,8 +103,10 @@ def _build_xor() -> np.ndarray:
 class HTables:
     """Operator tables over the 6-valued M domain.
 
-    Each table is a read-only copy of the array passed in, so no caller
-    can change a table that DEFAULT_TABLES and every profile share.
+    Each table is a read-only uint8 copy of the array passed in, so no
+    caller can change a table that DEFAULT_TABLES and every profile
+    share. not_table has shape (6,), the others (6, 6), and every entry is
+    an M code: eval_g_all reads table[a, b] at a * 6 + b of the flat table.
     """
 
     not_table: np.ndarray = field(default_factory=_build_not)
@@ -112,6 +117,10 @@ class HTables:
     def __post_init__(self) -> None:
         for name in ("not_table", "and_table", "or_table", "xor_table"):
             table = np.array(getattr(self, name))
+            shape = (6,) if name == "not_table" else (6, 6)
+            if table.shape != shape or not np.isin(table, M_VALUES).all():
+                raise ValueError(f"{name} must be a {shape} array of M codes 0-5")
+            table = table.astype(np.uint8)
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
@@ -135,58 +144,104 @@ class HTables:
 DEFAULT_TABLES = HTables()
 
 
-def _eval_vec(expr: BoolExpr, leaves: np.ndarray, tables: HTables) -> np.ndarray:
-    """Evaluate over a batch: leaves has shape (n_assignments, arity)."""
-    if isinstance(expr, boolmin.Var):
-        return leaves[:, expr.index]
-    if isinstance(expr, boolmin.Const):
-        value = 0 if expr.bit == 0 else 5
-        return np.full(leaves.shape[0], value, dtype=np.uint8)
-    if isinstance(expr, boolmin.Not):
-        return tables.not_table[_eval_vec(expr.child, leaves, tables)]
-    table = {
-        boolmin.And: tables.and_table,
-        boolmin.Or: tables.or_table,
-        boolmin.Xor: tables.xor_table,
-    }[type(expr)]
-    acc = _eval_vec(expr.children[0], leaves, tables)
-    for child in expr.children[1:]:
-        acc = table[acc, _eval_vec(child, leaves, tables)]
-    return acc
+def _apply(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """table[a, b] for uint8 M-code arrays: one take from the flat table."""
+    return table.ravel().take(a * 6 + b)
 
 
-def eval_g_all(expr: BoolExpr, arity: int, tables: HTables = DEFAULT_TABLES) -> np.ndarray:
-    """M codes for every assignment, indexed by neighborhood value."""
-    n = 1 << arity
-    indices = np.arange(n, dtype=np.uint32)
-    leaves = np.zeros((n, arity), dtype=np.uint8)
-    for j in range(arity):
-        leaves[:, j] = ((indices >> (arity - 1 - j)) & 1) * 5
-    return _eval_vec(expr, leaves, tables)
+def _fold_terms(terms: Sequence[boolmin.Term], leaves: np.ndarray, tables: HTables) -> np.ndarray:
+    """Or over the terms' products, each the And of its children."""
+    m = len(leaves)
+    # Atom rows: x_j at j, !x_j at m + j, x_a ^ x_b at 2m + a*m + b.
+    pairs = _apply(tables.xor_table, leaves[:, None], leaves).reshape(m * m, -1)
+    atoms = np.concatenate([leaves, tables.not_table[leaves], pairs])
+    children = [
+        [j if value >> (m - 1 - j) & 1 else m + j for j in range(m) if mask >> (m - 1 - j) & 1]
+        + [2 * m + a * m + b for a, b in xors]
+        for mask, value, xors in terms
+    ]
+    # Rows by falling child count, so the products that still fold at
+    # child position k are a prefix.
+    counts = np.array([len(c) for c in children])
+    order = np.argsort(-counts, kind="stable")
+    index = np.zeros((len(children), counts.max()), dtype=np.intp)
+    for row, t in enumerate(order):
+        index[row, : counts[t]] = children[t]
+    products = atoms[index[:, 0]]
+    and_flat = tables.and_table.ravel()
+    for k in range(1, index.shape[1]):
+        live = products[: np.count_nonzero(counts > k)]
+        live *= 6
+        live += atoms[index[: len(live), k]]
+        and_flat.take(live, out=live)
+    products = products[np.argsort(order)]
+    core = products[0]
+    for product in products[1:]:
+        core = _apply(tables.or_table, core, product)
+    return core
+
+
+def eval_g_all(form: MinimalForm, tables: HTables = DEFAULT_TABLES) -> np.ndarray:
+    """M codes of a minimal form for every assignment, by neighborhood index.
+
+    Folds the form in its expression tree's order without building the
+    tree. Each product folds its children (literals by variable, then
+    XOR factors) through and_table, all products one child position at a
+    time; the products fold left to right through or_table; then the
+    split leaves, ascending, and that core fold through xor_table, and
+    not_table applies if the form is negated.
+    """
+    m, n = form.arity, 1 << form.arity
+    leaves = (np.arange(n) >> np.arange(m - 1, -1, -1)[:, None] & 1).astype(np.uint8) * 5
+    rows = list(leaves[list(form.splits)])
+    if form.terms:
+        rows.append(_fold_terms(form.terms, leaves, tables))
+    if not rows:
+        return np.full(n, 5 * form.negated, dtype=np.uint8)
+    acc = rows[0]
+    for row in rows[1:]:
+        acc = _apply(tables.xor_table, acc, row)
+    return tables.not_table[acc] if form.negated else acc
 
 
 @dataclass(frozen=True, eq=False)
 class RuleProfile:
     """A rule's minimal form and its M-coded truth table.
 
-    cover_mode is the cover strategy actually used ("exact" or "greedy");
     mcodes holds one M code per neighborhood index (read-only uint8).
+    The expression tree is built on first use of `expr`, so code that
+    only reads mcodes never builds it.
     """
 
     tt: TruthTable
-    expr: BoolExpr
-    cover_mode: str
+    form: MinimalForm
     mcodes: np.ndarray
+
+    @property
+    def cover_mode(self) -> str:
+        """The cover strategy actually used ("exact" or "greedy")."""
+        return self.form.cover_mode
+
+    @cached_property
+    def expr(self) -> BoolExpr:
+        return self.form.to_expr()
+
+    def refolded(self, tables: HTables) -> "RuleProfile":
+        """The same form M-coded under other operator tables."""
+        return _profile(self.tt, self.form, tables)
+
+
+def _profile(tt: TruthTable, form: MinimalForm, tables: HTables) -> RuleProfile:
+    mcodes = eval_g_all(form, tables)
+    mcodes.setflags(write=False)
+    return RuleProfile(tt, form, mcodes)
 
 
 def rule_profile(
     tt: TruthTable, mode: str = "auto", tables: HTables = DEFAULT_TABLES
 ) -> RuleProfile:
     """Minimize tt once and evaluate the result over M for every neighborhood."""
-    expr, used_mode = boolmin.minimize_detailed(tt, mode)
-    mcodes = np.array(eval_g_all(expr, tt.arity, tables), dtype=np.uint8)
-    mcodes.setflags(write=False)
-    return RuleProfile(tt, expr, used_mode, mcodes)
+    return _profile(tt, boolmin.minimal_form(tt, mode), tables)
 
 
 # --- constraint suite -------------------------------------------------------
@@ -218,7 +273,7 @@ def validate_h(tables: HTables = DEFAULT_TABLES) -> list[ConstraintResult]:
             ConstraintResult(name, expected == actual, repr(expected), repr(actual))
         )
 
-    leaves = tuple(eval_g_all(boolmin.Var(0), 1, tables).tolist())
+    leaves = tuple(rule_profile(TruthTable(1, (0, 1)), "exact", tables).mcodes.tolist())
     check("leaf mapping 0->M0, 1->M5", (0, 5), leaves)
 
     fractions = [

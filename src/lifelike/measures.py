@@ -89,6 +89,8 @@ class DynamicParams:
             raise MeasureError("max_steps must be >= 1")
         if not 0.0 <= self.density <= 1.0:
             raise MeasureError("density must lie in [0, 1]")
+        if self.seed < 0:  # numpy seeds are non-negative; there is no upper bound
+            raise MeasureError(f"seed must be a non-negative integer, got {self.seed}")
         sizes = (self.dims,) if isinstance(self.dims, int) else self.dims
         if any(s < 3 for s in sizes):
             raise MeasureError("lattice dimensions must be >= 3")

@@ -77,6 +77,52 @@ def eval_m_naive(expr: boolmin.BoolExpr, cells, tables: HTables) -> int:
     return acc
 
 
+def cube_key(imp: boolmin.Implicant, arity: int) -> tuple[int, ...]:
+    """Per-variable digits 0/1/2 of a cube, don't-care sorting last."""
+    digits = []
+    for j in range(arity):
+        bit = 1 << (arity - 1 - j)
+        digits.append((imp.value >> (arity - 1 - j)) & 1 if imp.mask & bit else 2)
+    return tuple(digits)
+
+
+def covers(imp: boolmin.Implicant, minterm: int) -> bool:
+    return (minterm & imp.mask) == imp.value
+
+
+def product_expr(mask: int, value: int, xors, arity: int) -> boolmin.BoolExpr:
+    """The And of a term's literals x_j / !x_j and its x_a ^ x_b factors."""
+    children = []
+    for j in range(arity):
+        bit = 1 << (arity - 1 - j)
+        if mask & bit:
+            var = boolmin.Var(j)
+            children.append(var if value & bit else boolmin.make_not(var))
+    children += [boolmin.make_xor([boolmin.Var(a), boolmin.Var(b)]) for a, b in xors]
+    return boolmin.make_and(children)
+
+
+def to_expr(imp: boolmin.Implicant, arity: int) -> boolmin.BoolExpr:
+    """The cube as the And of its literals."""
+    return product_expr(imp.mask, imp.value, (), arity)
+
+
+def random_tables(rng: np.random.Generator) -> HTables:
+    """Operator tables with arbitrary entries in 0..5, asymmetric in general."""
+    binary = rng.integers(0, 6, size=(3, 6, 6), dtype=np.uint8)
+    return HTables(rng.integers(0, 6, size=6, dtype=np.uint8), *binary)
+
+
+def random_table(arity: int, density: float, seed: int, split: bool) -> TruthTable:
+    """A random table; with split, x_j ^ g for a random variable j."""
+    rng = np.random.default_rng(seed)
+    if not split:
+        return TruthTable(arity, tuple(int(b) for b in rng.random(1 << arity) < density))
+    g = (rng.random(1 << (arity - 1)) < density).reshape((2,) * (arity - 1))
+    bits = np.stack([g, ~g], axis=int(rng.integers(arity)))
+    return TruthTable(arity, tuple(int(b) for b in bits.ravel()))
+
+
 def parity_split_table(seed: int) -> TruthTable:
     """x0 ^ g for a seeded sparse 8-input g (density 0.08).
 
@@ -97,8 +143,8 @@ def petrick_naive(primes, tt: TruthTable) -> tuple[boolmin.Implicant, ...]:
     same message once an expansion exceeds EXACT_BUDGET terms.
     """
     arity = tt.arity
-    ordered = sorted(primes, key=lambda p: p.cube_key(arity))
-    hitmap = {m: [i for i, p in enumerate(ordered) if p.covers(m)] for m in tt.onset}
+    ordered = sorted(primes, key=lambda p: cube_key(p, arity))
+    hitmap = {m: [i for i, p in enumerate(ordered) if covers(p, m)] for m in tt.onset}
     essential = {hits[0] for hits in hitmap.values() if len(hits) == 1}
     remaining = [m for m in tt.onset if not essential.intersection(hitmap[m])]
 
@@ -107,7 +153,7 @@ def petrick_naive(primes, tt: TruthTable) -> tuple[boolmin.Implicant, ...]:
         return (
             len(cubes),
             sum(c.literal_count for c in cubes),
-            tuple(c.cube_key(arity) for c in cubes),
+            tuple(cube_key(c, arity) for c in cubes),
         )
 
     chosen = set(essential)

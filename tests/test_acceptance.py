@@ -9,7 +9,7 @@ import pytest
 from lifelike.boolmin import eval_bool, format_expr, minimize, minimize_detailed
 from lifelike.catalog import write_catalog
 from lifelike.cli import main
-from lifelike.heval import eval_g_all, rule_profile, validate_h
+from lifelike.heval import rule_profile, validate_h
 from lifelike.measures import (
     GOL_TARGET,
     DynamicParams,
@@ -85,12 +85,12 @@ def test_criterion_04_semantic_soundness_exhaustive():
     bad = []
     for rule in range(256):
         tt = elementary(rule)
-        expr = minimize(tt, "exact")
+        profile = rule_profile(tt, "exact")
         semantics = all(
-            eval_bool(expr, index_to_cells(i, 3)) == tt.outputs[i] for i in range(8)
+            eval_bool(profile.expr, index_to_cells(i, 3)) == tt.outputs[i] for i in range(8)
         )
         projection = (
-            tuple(state_of(int(c)) for c in eval_g_all(expr, 3)) == tt.outputs
+            tuple(state_of(int(c)) for c in profile.mcodes) == tt.outputs
         )
         if not (semantics and projection):
             bad.append(rule)

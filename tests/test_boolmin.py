@@ -10,6 +10,7 @@ from lifelike.boolmin import (
     Const,
     CoverBudgetExceeded,
     Implicant,
+    MinimalForm,
     Not,
     Or,
     Var,
@@ -23,6 +24,7 @@ from lifelike.boolmin import (
     make_or,
     make_xor,
     minimal_cover,
+    minimal_form,
     minimize,
     minimize_detailed,
     prime_implicants,
@@ -30,7 +32,16 @@ from lifelike.boolmin import (
 )
 from lifelike.rules import TruthTable, elementary, gol_truth_table, index_to_cells
 
-from oracles import parity_split_table, petrick_naive, prime_implicants_qm
+from oracles import (
+    covers,
+    cube_key,
+    parity_split_table,
+    petrick_naive,
+    prime_implicants_qm,
+    product_expr,
+    random_table,
+    to_expr,
+)
 
 
 def exhaustive_equal(expr, tt: TruthTable) -> bool:
@@ -104,7 +115,7 @@ class TestPrimeImplicants:
     def test_rule_90_primes(self):
         # f = p ^ r: minterm pairs merge along q into !p&r and p&!r.
         primes = prime_implicants(elementary(90))
-        assert primes == frozenset(
+        assert set(primes) == frozenset(
             {Implicant(mask=0b101, value=0b001), Implicant(mask=0b101, value=0b100)}
         )
 
@@ -115,7 +126,7 @@ class TestPrimeImplicants:
         assert next(iter(primes)).mask == 0
 
     def test_arity_zero(self):
-        assert prime_implicants(TruthTable(0, (1,))) == {Implicant(0, 0)}
+        assert set(prime_implicants(TruthTable(0, (1,)))) == {Implicant(0, 0)}
 
     def test_constant_zero_raises(self):
         with pytest.raises(ValueError, match="constant-0"):
@@ -128,14 +139,25 @@ class TestPrimeImplicants:
         outputs = rng.random(1 << arity) < density
         outputs[rng.integers(1 << arity)] = True
         tt = TruthTable(arity, tuple(int(b) for b in outputs))
-        assert prime_implicants(tt) == prime_implicants_qm(tt)
+        assert set(prime_implicants(tt)) == prime_implicants_qm(tt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_primes_come_in_cube_key_order(self, arity, density, seed):
+        rng = np.random.default_rng(seed)
+        outputs = rng.random(1 << arity) < density
+        outputs[rng.integers(1 << arity)] = True
+        primes = prime_implicants(TruthTable(arity, tuple(int(b) for b in outputs)))
+        assert isinstance(primes, tuple)
+        keys = [cube_key(p, arity) for p in primes]
+        assert keys == sorted(set(keys))
 
     @pytest.mark.parametrize("arity", range(10))
     def test_constant_one_and_single_minterm_match_quine_mccluskey(self, arity):
         size = 1 << arity
         for outputs in ((1,) * size, tuple(int(i == size - 1) for i in range(size))):
             tt = TruthTable(arity, outputs)
-            assert prime_implicants(tt) == prime_implicants_qm(tt)
+            assert set(prime_implicants(tt)) == prime_implicants_qm(tt)
 
     def test_cover_is_exact_for_known_cyclic_table(self):
         # Classic cyclic function: no essential primes, exact cover size 3.
@@ -145,7 +167,7 @@ class TestPrimeImplicants:
         tt = TruthTable(4, tuple(outputs))
         primes = prime_implicants(tt)
         cover = minimal_cover(list(primes), tt, "exact")
-        assert all(any(p.covers(m) for p in cover) for m in tt.onset)
+        assert all(any(covers(p, m) for p in cover) for m in tt.onset)
         greedy = minimal_cover(list(primes), tt, "greedy")
         assert len(cover) <= len(greedy)
 
@@ -155,7 +177,7 @@ class TestMinimalCover:
     def test_primes_missing_an_essential_prime_raise(self, mode):
         # Rule 94's on-set is {1, 2, 3, 4, 6}; only !p & r covers minterm 1.
         tt = elementary(94)
-        primes = prime_implicants(tt) - {Implicant(mask=0b101, value=0b001)}
+        primes = [p for p in prime_implicants(tt) if p != Implicant(mask=0b101, value=0b001)]
         with pytest.raises(ValueError, match="do not cover"):
             minimal_cover(list(primes), tt, mode)
 
@@ -190,8 +212,8 @@ class TestImplicant:
     def test_covers(self):
         # Cube 1-0 over 3 vars: p fixed 1, q free, r fixed 0.
         imp = Implicant(mask=0b101, value=0b100)
-        assert imp.covers(0b100) and imp.covers(0b110)
-        assert not imp.covers(0b101)
+        assert covers(imp, 0b100) and covers(imp, 0b110)
+        assert not covers(imp, 0b101)
 
     def test_literal_count(self):
         assert Implicant(mask=0b101, value=0b100).literal_count == 2
@@ -202,7 +224,7 @@ class TestImplicant:
 
     def test_to_expr(self):
         imp = Implicant(mask=0b101, value=0b100)
-        assert format_expr(imp.to_expr(3), 3) == "p & !r"
+        assert format_expr(to_expr(imp, 3), 3) == "p & !r"
 
 
 class TestXorExtract:
@@ -218,7 +240,8 @@ class TestXorExtract:
     def test_rewrites_exact_cover_of_rule_94(self):
         tt = elementary(94)
         cover = minimal_cover(list(prime_implicants(tt)), tt, "exact")
-        assert format_expr(xor_extract(cover, 3), 3) == "(!p & q) | (p ^ r)"
+        form = MinimalForm(3, (), False, xor_extract(cover, 3), "exact")
+        assert format_expr(form.to_expr(), 3) == "(!p & q) | (p ^ r)"
 
     def test_extraction_never_breaks_semantics(self):
         rng = np.random.default_rng(11)
@@ -227,6 +250,41 @@ class TestXorExtract:
             tt = TruthTable(4, bits)
             expr = minimize(tt, "exact")
             assert exhaustive_equal(expr, tt)
+
+
+class TestMinimalForm:
+    def test_constant_tables_have_no_terms(self):
+        assert minimal_form(elementary(0), "exact") == MinimalForm(3, (), False, (), "exact")
+        assert minimal_form(elementary(255), "greedy") == MinimalForm(3, (), True, (), "greedy")
+
+    def test_parity_rules_are_split_variables(self):
+        assert minimal_form(elementary(150), "exact") == MinimalForm(3, (0, 1, 2), False, (), "exact")
+        assert minimal_form(elementary(105), "exact") == MinimalForm(3, (0, 1, 2), True, (), "exact")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.floats(0, 1),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["exact", "greedy", "auto"]),
+    )
+    def test_products_in_form_order_are_the_children_make_or_returns(
+        self, arity, density, seed, split, mode
+    ):
+        tt = random_table(arity, density, seed, split)
+        try:
+            form = minimal_form(tt, mode)
+        except CoverBudgetExceeded:
+            return
+        assert list(form.splits) == sorted(set(form.splits))
+        products = [product_expr(*term, arity) for term in form.terms]
+        core = make_or(products)
+        if len(products) > 1:
+            assert core.children == tuple(products)
+        elif products:
+            assert core == products[0]
+        assert exhaustive_equal(form.to_expr(), tt)
 
 
 class TestMinimize:
@@ -308,7 +366,7 @@ class TestMinimize:
             return
         primes = prime_implicants(tt)
         cover = minimal_cover(list(primes), tt, "exact")
-        plain = make_or([c.to_expr(3) for c in cover])
+        plain = make_or([to_expr(c, 3) for c in cover])
         assert leaf_count(minimize(tt, "exact")) <= leaf_count(plain)
 
     def test_deterministic(self):

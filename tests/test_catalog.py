@@ -110,6 +110,11 @@ class TestImportPublishedRules:
         assert len(records) == 2
         assert ":2:" in diag.getvalue()
 
+    @pytest.mark.parametrize("arity", [-1, 10])  # a large arity would allocate 2^2^A bits
+    def test_arity_out_of_range_raises_before_opening(self, tmp_path, arity):
+        with pytest.raises(CatalogError, match=rf"arity must lie in \[0, 9\], got {arity}"):
+            import_published_rules(tmp_path / "missing.txt", arity=arity)
+
     def test_elementary_arity(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("94\n")

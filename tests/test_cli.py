@@ -153,7 +153,7 @@ class TestAnalyze:
 
     def test_moore_rule_minimized_once(self, capsys):
         spec = format_rule_spec(gol_truth_table())
-        with mock.patch.object(boolmin, "minimize_detailed", wraps=boolmin.minimize_detailed) as spy:
+        with mock.patch.object(boolmin, "minimal_form", wraps=boolmin.minimal_form) as spy:
             code, out, _ = run(capsys, "analyze", spec, "--emit-mtable")
         assert code == 0
         assert len(json.loads(out)["mtable"]) == 512

@@ -19,7 +19,7 @@ from lifelike.rules import (
     state_of,
 )
 
-from oracles import eval_m_naive
+from oracles import eval_m_naive, random_table, random_tables
 
 m_codes = st.sampled_from(M_VALUES)
 NOT = DEFAULT_TABLES.not_table
@@ -34,7 +34,7 @@ def mtable(tt: TruthTable, mode: str) -> tuple[int, ...]:
 
 class TestLeafMapping:
     def test_bits_map_to_stable_codes(self):
-        assert eval_g_all(boolmin.Var(0), 1).tolist() == [0, 5]
+        assert eval_g_all(boolmin.minimal_form(TruthTable(1, (0, 1)))).tolist() == [0, 5]
 
 
 class TestOperatorTables:
@@ -128,17 +128,46 @@ class TestRule94:
 
 class TestEvalGAll:
     @staticmethod
-    def assert_agrees_with_scalar_fold(tt: TruthTable) -> None:
-        expr = boolmin.minimize(tt, "exact")
-        codes = eval_g_all(expr, tt.arity).tolist()
+    def assert_agrees_with_scalar_fold(
+        tt: TruthTable, mode: str = "exact", tables: HTables = DEFAULT_TABLES
+    ) -> None:
+        form = boolmin.minimal_form(tt, mode)
+        expr = form.to_expr()
+        codes = eval_g_all(form, tables).tolist()
         for i in range(1 << tt.arity):
-            assert eval_m_naive(expr, index_to_cells(i, tt.arity), DEFAULT_TABLES) == codes[i]
+            assert eval_m_naive(expr, index_to_cells(i, tt.arity), tables) == codes[i]
 
     def test_agrees_with_scalar_eval(self):
         self.assert_agrees_with_scalar_fold(elementary(110))
 
     def test_agrees_with_scalar_eval_on_game_of_life(self):
         self.assert_agrees_with_scalar_fold(gol_truth_table())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(range(1, 10)),
+        st.floats(0, 1),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["exact", "greedy", "auto"]),
+    )
+    def test_fold_matches_tree_walk_under_random_tables(self, arity, density, seed, split, mode):
+        # Arbitrary asymmetric tables: any slip in the fold order shows.
+        tt = random_table(arity, density, seed, split)
+        tables = random_tables(np.random.default_rng([seed, 1]))
+        try:
+            self.assert_agrees_with_scalar_fold(tt, mode, tables)
+        except boolmin.CoverBudgetExceeded:
+            assert mode == "exact"
+
+    def test_profile_refolds_under_other_tables(self):
+        tables = random_tables(np.random.default_rng(5))
+        profile = rule_profile(gol_truth_table(), "exact")
+        refolded = profile.refolded(tables)
+        assert refolded.form is profile.form
+        assert refolded.mcodes.tolist() == rule_profile(gol_truth_table(), "exact", tables).mcodes.tolist()
+        with pytest.raises(ValueError):
+            refolded.mcodes[0] = 1
 
 
 class TestValidateH:
@@ -174,6 +203,14 @@ class TestReadOnlyTables:
         tables = HTables(and_table=and_table)
         and_table[0, 0] = 3
         assert tables.and_table[0, 0] == 0
+
+    def test_tables_are_uint8_m_codes(self):
+        tables = HTables(and_table=DEFAULT_TABLES.and_table.astype(np.int64))
+        assert tables.and_table.dtype == np.uint8
+        for bad in ({"not_table": np.full(6, 6)}, {"or_table": np.zeros((6, 5))},
+                    {"xor_table": np.full((6, 6), -1)}):
+            with pytest.raises(ValueError, match="M codes"):
+                HTables(**bad)
 
     def test_replaced_leaves_the_original(self):
         broken = DEFAULT_TABLES.replaced("and", 5, 0, 0)

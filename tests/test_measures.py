@@ -154,6 +154,12 @@ class TestDynamicMeasure:
         with pytest.raises(MeasureError):
             DynamicParams(dims=(2, 50))
 
+    def test_negative_seed_rejected_and_no_upper_bound(self):
+        with pytest.raises(MeasureError, match="seed must be a non-negative integer, got -1"):
+            DynamicParams(seed=-1)
+        # search's per-chromosome seeds take all 64 bits.
+        assert DynamicParams(seed=2**64 - 1).seed == 2**64 - 1
+
 
 # dynamic_measure(...).as_tuple() of seeded cases, recorded from the
 # engine that evolved each run alone; stacked evolution must match exactly.

@@ -119,10 +119,20 @@ class TestEvaluate:
     def test_rule_minimized_once(self):
         # The Game of Life has no static stability, so both measures run.
         ind = Individual(gol_truth_table().as_array())
-        with mock.patch.object(boolmin, "minimize_detailed", wraps=boolmin.minimize_detailed) as spy:
+        with mock.patch.object(boolmin, "minimal_form", wraps=boolmin.minimal_form) as spy:
             evaluate(ind, SMALL)
         assert ind.md is not None
         assert spy.call_count == 1
+
+    def test_expression_tree_never_built(self):
+        # Both measures read the M table folded from the minimal form.
+        ind = Individual(gol_truth_table().as_array())
+        with mock.patch.object(boolmin.MinimalForm, "to_expr") as to_expr, mock.patch.object(
+            boolmin, "make_or", wraps=boolmin.make_or
+        ) as make_or:
+            evaluate(ind, SMALL)
+        assert ind.md is not None
+        assert to_expr.call_count == 0 and make_or.call_count == 0
 
     def test_reevaluation_is_reproducible(self):
         rng = np.random.default_rng(3)
