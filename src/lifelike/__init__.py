@@ -40,14 +40,11 @@ from .rules import (
 )
 from .search import GAConfig, run_ga
 from .simulator import (
-    EvolutionHistory,
     LatticeError,
-    averaged_spacetime,
     evolve,
     m_field,
     random_lattice,
     render_ppm,
-    spacetime,
     step,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "CoverBudgetExceeded",
     "DEFAULT_TABLES",
     "DynamicParams",
-    "EvolutionHistory",
     "GAConfig",
     "GOL_TARGET",
     "HTables",
@@ -68,7 +64,6 @@ __all__ = [
     "RuleNumber",
     "RuleProfile",
     "TruthTable",
-    "averaged_spacetime",
     "correlation",
     "decode_rule_number",
     "distance",
@@ -91,7 +86,6 @@ __all__ = [
     "render_ppm",
     "rule_profile",
     "run_ga",
-    "spacetime",
     "static_measure",
     "step",
     "validate_h",

@@ -467,27 +467,29 @@ def _merge_complementary(terms: list[tuple], arity: int) -> list[tuple]:
     pairs and loses XOR factors on large symmetric covers) from
     matching.max_cardinality_matching; rounds repeat until no pair
     merges. Terms are kept canonically sorted, so the matching, and with
-    it the tree, is deterministic.
+    it the tree, is deterministic. Each term's sort key is computed once,
+    when the term is created.
     """
+    keyed = sorted((_term_key(t, arity), t) for t in terms)
     while True:
-        terms.sort(key=lambda t: _term_key(t, arity))
         buckets: dict[tuple, list[int]] = {}
-        for i, (mask, _, xors) in enumerate(terms):
+        for i, (_, (mask, _, xors)) in enumerate(keyed):
             buckets.setdefault((mask, xors), []).append(i)
         edges = [
             (i, j)
             for bucket in buckets.values()
             for i, j in combinations(bucket, 2)
-            if _mergeable(terms[i][1], terms[j][1])
+            if _mergeable(keyed[i][1][1], keyed[j][1][1])
         ]
         if not edges:
-            return terms
+            return [t for _, t in keyed]
         matched: set[int] = set()
         merged: list[tuple] = []
-        for i, j in max_cardinality_matching(len(terms), edges):
-            merged.append(_merge_pair(terms[i], terms[j], arity))
+        for i, j in max_cardinality_matching(len(keyed), edges):
+            t = _merge_pair(keyed[i][1], keyed[j][1], arity)
+            merged.append((_term_key(t, arity), t))
             matched.update((i, j))
-        terms = merged + [t for k, t in enumerate(terms) if k not in matched]
+        keyed = sorted(merged + [p for k, p in enumerate(keyed) if k not in matched])
 
 
 def _product_key(term: Term, arity: int) -> tuple:

@@ -1,13 +1,14 @@
 """`ca` command-line tool.
 
 Machine-readable JSON on stdout, human diagnostics on stderr. Exit codes:
-0 success, 1 domain errors (bad rule numbers, unattainable covers, ...),
-2 usage errors.
+0 success, 1 domain errors (bad rule numbers, unattainable covers, ...)
+or running out of memory, 2 usage errors.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -202,26 +203,27 @@ def _cmd_simulate(args) -> int:
         lattice = simulator.random_lattice(
             _parse_size(args.size), args.density, rng
         )
-    history = simulator.evolve(lattice, heval.rule_profile(tt), args.steps)
+    evolution = simulator.evolve(lattice, heval.rule_profile(tt), args.steps)
+    flat = lattice.ndim == 1
+    # One spacetime row per lattice: its cells in 1D, its column means in 2D.
+    spacetime = np.empty(
+        (args.steps + 1, lattice.shape[-1]), np.uint8 if flat else np.float64
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if lattice.ndim == 1:
-        path = out / "spacetime.ppm"
-        simulator.render_ppm(simulator.spacetime(history), path, "binary")
-        written.append(path.name)
-    else:
-        path = out / "spacetime.ppm"
-        simulator.render_ppm(simulator.averaged_spacetime(history), path, "gray")
-        written.append(path.name)
-        for t, frame in enumerate(history.frames):
-            name = f"frame-{t:04d}.ppm"
-            simulator.render_ppm(frame, out / name, "binary")
-            written.append(name)
-        for t, field in enumerate(history.mfields, start=1):
-            name = f"mfield-{t:04d}.ppm"
-            simulator.render_ppm(field, out / name, "mfield")
-            written.append(name)
+    frames, fields = [], []
+    for t, (frame, field) in enumerate(itertools.chain([(lattice, None)], evolution)):
+        if flat:
+            spacetime[t] = frame
+            continue
+        spacetime[t] = frame.mean(axis=0)
+        frames.append(f"frame-{t:04d}.ppm")
+        simulator.render_ppm(frame, out / frames[-1], "binary")
+        if field is not None:
+            fields.append(f"mfield-{t:04d}.ppm")
+            simulator.render_ppm(field, out / fields[-1], "mfield")
+    simulator.render_ppm(spacetime, out / "spacetime.ppm", "binary" if flat else "gray")
+    written = ["spacetime.ppm", *frames, *fields]
     _emit(
         {
             "rule": rules.format_rule_spec(tt),
@@ -436,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -19,6 +19,8 @@ same layout, and then refreshes its halo with 2 slice copies in 1D, 4 in
 2D. `evolve` and the dynamic measure keep a `Torus` across steps, pad
 only once, and read both the next state and the M code from one index
 per step; a stack sheds its leading lattices as a contiguous slice.
+`evolve` yields each frame and M field as it is stepped and keeps no
+history.
 
 The next state is read from the rule's truth table, the M code from the
 M-coded table of its `RuleProfile`, which is built once per rule and is
@@ -26,7 +28,7 @@ read-only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -171,41 +173,31 @@ def m_field(c: np.ndarray, profile: RuleProfile) -> np.ndarray:
     return np.take(profile.mcodes, neighborhood_index_field(c, rank))
 
 
-@dataclass
-class EvolutionHistory:
-    """Frames C^0..C^T with aligned M fields D^1..D^T."""
+def evolve(
+    c0: np.ndarray, profile: RuleProfile, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (C^t, D^t) for t = 1..steps, one step at a time.
 
-    frames: list[np.ndarray]
-    mfields: list[np.ndarray]
-
-
-def evolve(c0: np.ndarray, profile: RuleProfile, steps: int) -> EvolutionHistory:
+    C^t is the lattice after t steps from c0, and D^t the M field read
+    from the index of C^{t-1}. Both arrays are new and never touched
+    again by the generator, which keeps only the current lattice, so
+    memory does not grow with `steps`. The step count and the lattice shape are
+    checked at the call, before any step runs.
+    """
     if steps < 0:
         raise ValueError("step count must be non-negative")
-    frames = [np.array(c0, dtype=np.uint8)]
-    torus = Torus(frames[0], _check_dims(frames[0], profile.tt))
+    c0 = np.asarray(c0, dtype=np.uint8)
+    return _evolve(Torus(c0, _check_dims(c0, profile.tt)), profile, steps)
+
+
+def _evolve(
+    torus: Torus, profile: RuleProfile, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     states = profile.tt.as_array()
-    mfields: list[np.ndarray] = []
     for _ in range(steps):
         index = torus.index()
-        mfields.append(np.take(profile.mcodes, torus.interior(index)))
         torus.advance(states, index)
-        frames.append(torus.interior(torus.buf).copy())
-    return EvolutionHistory(frames, mfields)
-
-
-def averaged_spacetime(history: EvolutionHistory) -> np.ndarray:
-    """Row t = per-column mean state of frame t; time increases downward."""
-    if history.frames[0].ndim != 2:
-        raise LatticeError("averaged spacetime requires a 2D history")
-    return np.stack([f.mean(axis=0) for f in history.frames])
-
-
-def spacetime(history: EvolutionHistory) -> np.ndarray:
-    """1D history stacked into a (time, space) binary matrix."""
-    if history.frames[0].ndim != 1:
-        raise LatticeError("raw spacetime requires a 1D history")
-    return np.stack(history.frames)
+        yield torus.interior(torus.buf).copy(), np.take(profile.mcodes, torus.interior(index))
 
 
 # --- PPM output -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from lifelike import boolmin
+from lifelike import boolmin, simulator
 from lifelike.cli import main
 from lifelike.rules import format_rule_spec, gol_truth_table
 
@@ -183,6 +184,50 @@ class TestDistance:
         assert payload["distance"] == 0.0
 
 
+# sha256 of stdout and of each written file, in stdout's `files` order,
+# recorded from the implementation that kept the whole history before
+# writing; streaming the frames must not change a byte.
+GOLDEN_SIMULATE = {
+    "elem-110": (
+        ["elem:110", "--size", "32", "--steps", "8", "--seed", "0"],
+        "edce28ce18399c04e061261da2b96d4eb7b1b2b82527a39168621d6e5b0883b0",
+        [("spacetime.ppm", "736feeb48604b44b80b3ff1f5923790e9a4289d3f46bc307fc2c5df1f8d355f4")],
+    ),
+    "gol-24x24": (
+        [format_rule_spec(gol_truth_table()), "--size", "24x24", "--steps", "10", "--seed", "3"],
+        "35ab36a0076c6f0362740f3b9680ec2acf3bc631bdf6372614d045f697612cd3",
+        [
+            ("spacetime.ppm", "8a900c4ba1a76e4c5802f5a0bd543142af51e45081e3418de12956fa36ac996a"),
+            ("frame-0000.ppm", "737efb4a41610500f87324a5cc80119619d49cd7e180f8de50e537f9c1d01919"),
+            ("frame-0001.ppm", "85be028bfcda79a5df08adcfa07cd07bd02a1f28ebb149ace9c170e21b1f2a34"),
+            ("frame-0002.ppm", "5770aea6dba91aaadf351aac303bf89789477e9ff27cbc9dff5480143b83c091"),
+            ("frame-0003.ppm", "7fa04393359230a0a52ffa5384e4f42faca8219f4a1a5482f56fa2f8a8d8caa0"),
+            ("frame-0004.ppm", "e8f993f715856d284555bb72a6a096da4d9767b81142d3aca2517e74b054facb"),
+            ("frame-0005.ppm", "106fc0555988326510373de0e229d53d6dc03606100db405c64f825321113641"),
+            ("frame-0006.ppm", "e3be6db24a1583b9b6b8b6e2452e25ae3cf85c3681eb7e8da46d9431f29de9f7"),
+            ("frame-0007.ppm", "27a07dd48002be785259367c50b0e5897e47a1e73ceaf3985ef1226d7cb8998c"),
+            ("frame-0008.ppm", "38ea69812ab950ab3bff3416d8ccf97335bd2f798a967cf6d7d524258c883147"),
+            ("frame-0009.ppm", "ac0971cb5dcd73e518829994c0dd320efb5a25ff3da82b02b3551a11774dc895"),
+            ("frame-0010.ppm", "5c1ff199c85ac07838545815fed699dc288bcf07c61f4d391a1098716ad8b6c0"),
+            ("mfield-0001.ppm", "0160a80fa158b54bda0a6a92f71820714bb34439ea2281dba521398b026c5858"),
+            ("mfield-0002.ppm", "20bd8a4811f613cc006014d8f7e6629e7ed536e3f630a1d0c575163cf623da70"),
+            ("mfield-0003.ppm", "04d533052ad3486e1c1c968b4e04111dcb4bca3aeeba88f8817126f312ca6876"),
+            ("mfield-0004.ppm", "03af6f2bb0f5fbf5030cf4bc20516925d80244da1ca1c47df685c3250b2f8bcc"),
+            ("mfield-0005.ppm", "0af4e3d3e75d4b931619260fff73a7688c40bd97c31f74dfb97f2638a6801fdc"),
+            ("mfield-0006.ppm", "48967e1d12fb27dd6ca3ca82d0e09d689d3af1f0f7a5031840a43deb8eaff949"),
+            ("mfield-0007.ppm", "73ce913419fc5854f0e1d26d647cd798b1ed79657bf01f9e70545e1723787c31"),
+            ("mfield-0008.ppm", "7b4c7cc4495b81fef3e76bbece9ac4c8a7b931f08eedec4cf3920c29dc2dc946"),
+            ("mfield-0009.ppm", "f0ab7b0553a526a803134bc92bcbbf35bb0589f112673ba831b2e4fbc376c1b5"),
+            ("mfield-0010.ppm", "f60d940bc9602573452477421746f359d108a07c684b3f94982d82b1d049b8d8"),
+        ],
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestSimulate:
     def test_writes_images(self, capsys, tmp_path):
         out_dir = tmp_path / "frames"
@@ -232,6 +277,61 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert "mfield-0001.ppm" in payload["files"]
+
+    @pytest.mark.parametrize("case", GOLDEN_SIMULATE)
+    def test_golden_outputs(self, capsys, tmp_path, monkeypatch, case):
+        argv, stdout_digest, files = GOLDEN_SIMULATE[case]
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "simulate", *argv, "--out", "sim")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["files"] == [name for name, _ in files]
+        assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == sorted(json.loads(out)["files"])
+        assert _sha256(out.encode()) == stdout_digest
+        for name, digest in files:
+            assert _sha256((tmp_path / "sim" / name).read_bytes()) == digest, name
+
+    def test_spacetime_shapes(self, capsys, tmp_path):
+        gol = format_rule_spec(gol_truth_table())
+        for rule, size, header in (("elem:90", "20", b"P6\n20 8\n"), (gol, "6x7", b"P6\n7 8\n")):
+            out_dir = tmp_path / rule[:4]
+            code, _, _ = run(
+                capsys, "simulate", rule, "--size", size, "--steps", "7", "--out", str(out_dir)
+            )
+            assert code == 0
+            assert (out_dir / "spacetime.ppm").read_bytes().startswith(header)
+
+    @pytest.mark.parametrize("case", ["negative-steps", "two-row-elementary-pattern"])
+    def test_rejected_before_out_is_created(self, capsys, tmp_path, case):
+        out_dir = tmp_path / "frames"
+        if case == "negative-steps":
+            argv = [format_rule_spec(gol_truth_table()), "--size", "8x8", "--steps", "-1"]
+        else:
+            pattern = tmp_path / "two-rows.txt"
+            pattern.write_text("0110\n1001\n")
+            argv = ["elem:110", "--seed-pattern", str(pattern)]
+        code, out, err = run(capsys, "simulate", *argv, "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "exc,line",
+        [
+            (MemoryError(), "error: out of memory\n"),
+            (MemoryError("Unable to allocate 8.00 TiB"), "error: Unable to allocate 8.00 TiB\n"),
+        ],
+        ids=["bare", "numpy-message"],
+    )
+    def test_memory_error_exit_1(self, capsys, tmp_path, monkeypatch, exc, line):
+        def random_lattice(*args):
+            raise exc
+
+        monkeypatch.setattr(simulator, "random_lattice", random_lattice)
+        out_dir = tmp_path / "frames"
+        code, out, err = run(capsys, "simulate", "elem:110", "--size", "8", "--out", str(out_dir))
+        assert (code, out, err) == (1, "", line)
+        assert not out_dir.exists()
 
 
 class TestValidateH:

@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,6 @@ from lifelike.heval import rule_profile
 from lifelike.rules import MOORE_ARITY, TruthTable, elementary, gol_truth_table, state_of
 from lifelike.simulator import (
     LatticeError,
-    averaged_spacetime,
     evolve,
     load_pattern,
     m_field,
@@ -15,7 +17,6 @@ from lifelike.simulator import (
     ppm_bytes,
     random_lattice,
     render_ppm,
-    spacetime,
     step,
 )
 
@@ -173,17 +174,19 @@ class TestMField:
 
 class TestEvolve:
     def test_history_lengths(self):
-        h = evolve(place((6, 6), BLINKER), rule_profile(gol_truth_table()), 5)
-        assert len(h.frames) == 6
-        assert len(h.mfields) == 5
+        pairs = list(evolve(place((6, 6), BLINKER), rule_profile(gol_truth_table()), 5))
+        assert len(pairs) == 5
+        assert all(frame.shape == field.shape == (6, 6) for frame, field in pairs)
 
     def test_frames_and_fields_match_step_and_m_field(self):
         tt = gol_truth_table()
         profile = rule_profile(tt)
-        h = evolve(random_lattice((10, 12), 0.4, np.random.default_rng(3)), profile, 6)
-        for t, field in enumerate(h.mfields):
-            assert np.array_equal(field, m_field(h.frames[t], profile))
-            assert np.array_equal(h.frames[t + 1], step(h.frames[t], tt))
+        prev = random_lattice((10, 12), 0.4, np.random.default_rng(3))
+        # Collected first: a yielded frame must not change as the evolution goes on.
+        for frame, field in list(evolve(prev, profile, 6)):
+            assert np.array_equal(field, m_field(prev, profile))
+            assert np.array_equal(frame, step(prev, tt))
+            prev = frame
 
     @given(SIDES, SIDES, st.integers(0, 6), st.integers(0, 2**30))
     @settings(max_examples=15, deadline=None)
@@ -191,21 +194,46 @@ class TestEvolve:
         rng = np.random.default_rng(seed)
         tt = TruthTable(MOORE_ARITY, tuple(int(b) for b in rng.random(512) < rng.uniform(0.2, 0.8)))
         profile = rule_profile(tt, "greedy")
-        h = evolve(random_lattice((rows, cols), 0.5, rng), profile, steps)
-        assert len(h.frames) == steps + 1 and len(h.mfields) == steps
-        for t, field in enumerate(h.mfields):
-            assert np.array_equal(field, profile.mcodes[index_field_naive(h.frames[t])])
-            assert np.array_equal(h.frames[t + 1], step_naive(h.frames[t], tt))
+        prev = random_lattice((rows, cols), 0.5, rng)
+        pairs = list(evolve(prev, profile, steps))
+        assert len(pairs) == steps
+        for frame, field in pairs:
+            assert np.array_equal(field, profile.mcodes[index_field_naive(prev)])
+            assert np.array_equal(frame, step_naive(prev, tt))
+            prev = frame
+
+    def test_input_lattice_is_not_modified(self):
+        c0 = place((6, 6), BLINKER)
+        kept = c0.copy()
+        collections.deque(evolve(c0, rule_profile(gol_truth_table()), 3), maxlen=0)
+        assert np.array_equal(c0, kept)
 
     def test_negative_steps_rejected(self):
+        # Checked at the call, before the first step is asked for.
         with pytest.raises(ValueError):
             evolve(np.zeros(8, dtype=np.uint8), rule_profile(elementary(90)), -1)
 
-    def test_spacetime_shapes(self):
-        h1 = evolve(random_lattice(20, 0.5, np.random.default_rng(0)), rule_profile(elementary(90)), 7)
-        assert spacetime(h1).shape == (8, 20)
-        h2 = evolve(place((6, 7), BLINKER), rule_profile(gol_truth_table()), 3)
-        assert averaged_spacetime(h2).shape == (4, 7)
+    def test_lattice_rank_checked_at_call(self):
+        with pytest.raises(LatticeError):
+            evolve(np.zeros((4, 4), dtype=np.uint8), rule_profile(elementary(90)), 3)
+        with pytest.raises(LatticeError):
+            evolve(np.zeros(8, dtype=np.uint8), rule_profile(gol_truth_table()), 3)
+
+    @pytest.mark.parametrize("steps", [20, 200])
+    def test_peak_memory_does_not_grow_with_steps(self, steps):
+        # One 64x64 lattice, its padded buffer, index and numpy's intp copy
+        # of it stay below 64 kB; a stored history of frames and M fields
+        # would add 8 kB per step (about 1.6 MB at 200 steps). The consumer
+        # keeps no pair, so only the generator's own memory is measured.
+        profile = rule_profile(gol_truth_table())
+        c0 = random_lattice((64, 64), 0.5, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            collections.deque(evolve(c0, profile, steps), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
 
 
 class TestPPM:
