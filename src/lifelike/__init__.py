@@ -1,19 +1,13 @@
 """Behavior-based characterization and search of binary cellular automata.
 
 Pipeline: decode a rule number into a truth table, minimize it into a
-Boolean expression, re-evaluate the expression over a 6-valued
+minimal Boolean form, re-evaluate the form over a 6-valued
 state/behavior code, and summarize the codes as static and dynamic
 behavior measures. A genetic algorithm searches the 2D Moore-neighborhood
 rule space for automata whose measures approach a target such as the
 Game of Life's.
 """
-from .boolmin import (
-    CoverBudgetExceeded,
-    format_expr,
-    leaf_count,
-    minimize,
-    minimize_detailed,
-)
+from .boolmin import CoverBudgetExceeded, MinimalForm, minimal_form
 from .catalog import CatalogError, CatalogRecord, import_published_rules, read_catalog, write_catalog
 from .heval import DEFAULT_TABLES, HTables, RuleProfile, rule_profile, validate_h
 from .measures import (
@@ -60,6 +54,7 @@ __all__ = [
     "HTables",
     "LatticeError",
     "MeasureError",
+    "MinimalForm",
     "RuleError",
     "RuleNumber",
     "RuleProfile",
@@ -72,14 +67,11 @@ __all__ = [
     "encode_rule_number",
     "evolve",
     "feature_vector",
-    "format_expr",
     "format_rule_spec",
     "gol_truth_table",
     "import_published_rules",
-    "leaf_count",
     "m_field",
-    "minimize",
-    "minimize_detailed",
+    "minimal_form",
     "parse_rule_spec",
     "random_lattice",
     "read_catalog",

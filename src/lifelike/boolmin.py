@@ -16,19 +16,19 @@ of inclusion-minimal terms. XOR extraction keeps (mask, value, xors)
 terms, xors a sorted tuple of (a, b) variable pairs, and tests merges only
 inside (mask, xors) buckets.
 
-The minimizer stops at a `MinimalForm`: the split variables, a negation
-bit and the extracted terms, in the order the expression tree lists its
-products. `heval` folds M tables straight from it; `MinimalForm.to_expr`
-builds the tree only for display. Expressions are canonical: n-ary node
-children are sorted by a variable-index-lexicographic key and duplicates
-are removed, so identical truth tables always minimize to structurally
-identical trees.
+The minimizer stops at a `MinimalForm`, the one representation of a
+minimized rule: the split variables, a negation bit and the extracted
+terms. `heval` folds M tables straight from it, and it prints and counts
+its own literals. Forms are canonical: each product lists its literals
+by variable, then its XOR factors, and the products come sorted by
+`_product_key` with duplicates removed, so identical truth tables always
+minimize to identical forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ ELEMENTARY_NAMES = ("p", "q", "r")
 #: Cap on Petrick product terms before exact covering gives up.
 EXACT_BUDGET = 2_000
 
-#: Accepted `mode` values of minimal_form, minimize and minimize_detailed.
+#: Accepted `mode` values of minimal_form.
 COVER_MODES = ("exact", "greedy", "auto")
 
 
@@ -49,205 +49,9 @@ class CoverBudgetExceeded(RuntimeError):
     """Exact cover search exceeded its work budget."""
 
 
-# --- expression nodes -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class Const:
-    bit: int
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class And:
-    children: tuple["BoolExpr", ...]
-
-
-@dataclass(frozen=True)
-class Or:
-    children: tuple["BoolExpr", ...]
-
-
-@dataclass(frozen=True)
-class Xor:
-    children: tuple["BoolExpr", ...]
-
-
-BoolExpr = Union[Var, Const, Not, And, Or, Xor]
-
 #: A product term (mask, value, xors): a cube over index bits and a sorted
 #: tuple of (a, b) variable pairs, one factor a ^ b each.
 Term = tuple[int, int, tuple[tuple[int, int], ...]]
-
-
-def _key_parts(expr: BoolExpr) -> tuple[tuple[int, ...], str]:
-    if isinstance(expr, Var):
-        return ((expr.index,), f"x{expr.index}")
-    if isinstance(expr, Const):
-        return ((), f"#{expr.bit}")
-    if isinstance(expr, Not):
-        seq, tag = _key_parts(expr.child)
-        return (seq, "!" + tag)
-    op = {And: "&", Or: "|", Xor: "^"}[type(expr)]
-    keys = [_key_parts(c) for c in expr.children]
-    seq = tuple(i for k in keys for i in k[0])
-    tag = "(" + op.join(k[1] for k in keys) + ")"
-    return (seq, tag)
-
-
-def canonical_key(expr: BoolExpr) -> tuple:
-    """Ordering key: literals before compound subtrees, then in-order
-    variable indices, then a structural tag.
-
-    Literal-first ordering keeps XOR factors at the tail of product terms,
-    which is where published mixed-operator rule forms place them; the
-    6-valued fold order downstream depends on it.
-    """
-    literal = isinstance(expr, Var) or (
-        isinstance(expr, Not) and isinstance(expr.child, Var)
-    )
-    seq, tag = _key_parts(expr)
-    return (0 if literal else 1, seq, tag)
-
-
-def _sorted_children(children: Sequence[BoolExpr]) -> tuple[BoolExpr, ...]:
-    seen = []
-    for child in sorted(children, key=canonical_key):
-        if not seen or child != seen[-1]:
-            seen.append(child)
-    return tuple(seen)
-
-
-def make_not(child: BoolExpr) -> BoolExpr:
-    if isinstance(child, Not):
-        return child.child
-    if isinstance(child, Const):
-        return Const(1 - child.bit)
-    return Not(child)
-
-
-def make_and(children: Sequence[BoolExpr]) -> BoolExpr:
-    flat: list[BoolExpr] = []
-    for c in children:
-        if isinstance(c, Const):
-            if c.bit == 0:
-                return Const(0)
-            continue
-        flat.extend(c.children if isinstance(c, And) else (c,))
-    flat = list(_sorted_children(flat))
-    if not flat:
-        return Const(1)
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
-
-
-def make_or(children: Sequence[BoolExpr]) -> BoolExpr:
-    flat: list[BoolExpr] = []
-    for c in children:
-        if isinstance(c, Const):
-            if c.bit == 1:
-                return Const(1)
-            continue
-        flat.extend(c.children if isinstance(c, Or) else (c,))
-    flat = list(_sorted_children(flat))
-    if not flat:
-        return Const(0)
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
-
-
-def make_xor(children: Sequence[BoolExpr]) -> BoolExpr:
-    """XOR with parity normalization: Not children and Const(1) flip a
-    parity bit, duplicate pairs cancel, and an odd parity becomes a single
-    enclosing Not."""
-    parity = 0
-    flat: list[BoolExpr] = []
-    for c in children:
-        if isinstance(c, Const):
-            parity ^= c.bit
-            continue
-        if isinstance(c, Not):
-            parity ^= 1
-            c = c.child
-        if isinstance(c, Xor):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    flat.sort(key=canonical_key)
-    dedup: list[BoolExpr] = []
-    for c in flat:
-        if dedup and dedup[-1] == c:
-            dedup.pop()  # a ^ a = 0
-        else:
-            dedup.append(c)
-    if not dedup:
-        return Const(parity)
-    core = dedup[0] if len(dedup) == 1 else Xor(tuple(dedup))
-    return make_not(core) if parity else core
-
-
-def eval_bool(expr: BoolExpr, assignment: Sequence[int]) -> int:
-    """Standard Boolean evaluation of an expression on a bit tuple."""
-    if isinstance(expr, Var):
-        return assignment[expr.index]
-    if isinstance(expr, Const):
-        return expr.bit
-    if isinstance(expr, Not):
-        return 1 - eval_bool(expr.child, assignment)
-    values = [eval_bool(c, assignment) for c in expr.children]
-    if isinstance(expr, And):
-        return int(all(values))
-    if isinstance(expr, Or):
-        return int(any(values))
-    acc = 0
-    for v in values:
-        acc ^= v
-    return acc
-
-
-def leaf_count(expr: BoolExpr) -> int:
-    """Number of variable leaves (literal count)."""
-    if isinstance(expr, Var):
-        return 1
-    if isinstance(expr, Const):
-        return 0
-    if isinstance(expr, Not):
-        return leaf_count(expr.child)
-    return sum(leaf_count(c) for c in expr.children)
-
-
-def format_expr(expr: BoolExpr, arity: int) -> str:
-    """Render in the CLI grammar: `(q & !p) | (p ^ r)`.
-
-    Elementary rules use p, q, r; larger arities use x0..x8.
-    """
-    names = ELEMENTARY_NAMES if arity == 3 else tuple(f"x{i}" for i in range(arity))
-
-    def render(e: BoolExpr, parent_op: str | None) -> str:
-        if isinstance(e, Var):
-            return names[e.index]
-        if isinstance(e, Const):
-            return str(e.bit)
-        if isinstance(e, Not):
-            inner = render(e.child, "!")
-            if not isinstance(e.child, (Var, Const)):
-                inner = f"({inner})"
-            return f"!{inner}"
-        op = {And: " & ", Or: " | ", Xor: " ^ "}[type(e)]
-        body = op.join(render(c, op) for c in e.children)
-        return body if parent_op is None else f"({body})"
-
-    return render(expr, None)
 
 
 # --- implicants -------------------------------------------------------------
@@ -314,7 +118,7 @@ def minimal_cover(
     each connected component of the cyclic core, with products as int
     bitmasks over prime indices. It raises CoverBudgetExceeded when one
     expansion, before absorption, has more than EXACT_BUDGET terms.
-    minimize_detailed's "auto" then retries with mode="greedy".
+    minimal_form's "auto" then retries with mode="greedy".
     mode="greedy" takes the deterministic largest-gain set cover: each
     pick is the first prime (in cube_key order) of largest gain.
 
@@ -467,7 +271,7 @@ def _merge_complementary(terms: list[tuple], arity: int) -> list[tuple]:
     pairs and loses XOR factors on large symmetric covers) from
     matching.max_cardinality_matching; rounds repeat until no pair
     merges. Terms are kept canonically sorted, so the matching, and with
-    it the tree, is deterministic. Each term's sort key is computed once,
+    it the form, is deterministic. Each term's sort key is computed once,
     when the term is created.
     """
     keyed = sorted((_term_key(t, arity), t) for t in terms)
@@ -493,9 +297,15 @@ def _merge_complementary(terms: list[tuple], arity: int) -> list[tuple]:
 
 
 def _product_key(term: Term, arity: int) -> tuple:
-    """canonical_key of the product MinimalForm.to_expr builds for term,
-    computed without building it: literals x_j / !x_j by variable, then
-    one (a ^ b) factor per XOR pair."""
+    """Sort key of a product, the one definition of product order.
+
+    A product is its literals x_j / !x_j by variable, then one (a ^ b)
+    factor per XOR pair. The key is (0 for a lone literal, else 1), then
+    the in-order variable indices, then a structural tag. Literals come
+    first, within a product as before any compound product, so XOR factors
+    sit at the tail of products, where published mixed-operator rule forms
+    place them; the 6-valued fold order downstream depends on it.
+    """
     mask, value, xors = term
     seq = [j for j in range(arity) if mask >> (arity - 1 - j) & 1]
     tags = [f"x{j}" if value >> (arity - 1 - j) & 1 else f"!x{j}" for j in seq]
@@ -513,8 +323,8 @@ def xor_extract(sop: Sequence[Implicant], arity: int) -> tuple[Term, ...]:
     Each cube becomes a (mask, value, xors) term: the Implicant's cube
     and a sorted tuple of (a, b) variable pairs, one factor a ^ b each.
     Pairwise rewrites (a & !b) | (!a & b) -> a ^ b over complementary
-    literal pairs run to a fixpoint. The terms come back in the order, and
-    with the duplicates removed, that make_or gives their products.
+    literal pairs run to a fixpoint. The terms come back sorted by
+    _product_key, duplicates removed.
     """
     terms = _merge_complementary([(c.mask, c.value, ()) for c in sop], arity)
     return tuple(dict.fromkeys(sorted(terms, key=lambda t: _product_key(t, arity))))
@@ -522,15 +332,15 @@ def xor_extract(sop: Sequence[Implicant], arity: int) -> tuple[Term, ...]:
 
 @dataclass(frozen=True)
 class MinimalForm:
-    """A minimized truth table, before any expression tree is built.
+    """A minimized truth table, the one representation of a minimized rule.
 
     It reads splits[0] ^ splits[1] ^ ... ^ core, negated when `negated`
     is set, where core is the Or of `terms`' products, or the constant 0
     without terms. `splits` are the parity-split variables, ascending;
     each term is a (mask, value, xors) cube whose product is its literals
     in variable order, then one a ^ b factor per pair in xors. `terms`
-    come in the order of the tree's Or children, which is also the order
-    heval folds them in. `cover_mode` is the cover mode actually used
+    come in _product_key order, which is the order heval folds them in
+    and `format` prints them. `cover_mode` is the cover mode actually used
     ("exact" or "greedy").
     """
 
@@ -540,26 +350,56 @@ class MinimalForm:
     terms: tuple[Term, ...]
     cover_mode: str
 
-    def to_expr(self) -> BoolExpr:
-        """The canonical expression tree of the form."""
+    @property
+    def leaf_count(self) -> int:
+        """Number of variable leaves (literal count) of the printed form."""
+        return len(self.splits) + sum(
+            mask.bit_count() + 2 * len(xors) for mask, _, xors in self.terms
+        )
+
+    def format(self) -> str:
+        """Render in the CLI grammar: `(!p & q) | (p ^ r)`.
+
+        Elementary rules use p, q, r; other arities use x0..x8. A compound
+        operand of an n-ary operator is parenthesized, and so is a
+        compound form under its negation: `!(p ^ q ^ r)`.
+        """
         m = self.arity
-        products = []
-        for mask, value, xors in self.terms:
-            literals = [
-                Var(j) if value >> (m - 1 - j) & 1 else Not(Var(j))
-                for j in range(m)
-                if mask >> (m - 1 - j) & 1
-            ]
-            factors = [make_xor([Var(a), Var(b)]) for a, b in xors]
-            products.append(make_and([*literals, *factors]))
-        return make_xor([*map(Var, self.splits), make_or(products), Const(int(self.negated))])
+        names = ELEMENTARY_NAMES if m == 3 else tuple(f"x{j}" for j in range(m))
+        products = [
+            _join(
+                [
+                    names[j] if value >> (m - 1 - j) & 1 else "!" + names[j]
+                    for j in range(m)
+                    if mask >> (m - 1 - j) & 1
+                ]
+                + [f"{names[a]} ^ {names[b]}" for a, b in xors],
+                " & ",
+            )
+            for mask, value, xors in self.terms
+        ]
+        operands = [names[j] for j in self.splits] + ([_join(products, " | ")] if products else [])
+        if not operands:
+            return str(int(self.negated))
+        text = _join(operands, " ^ ")
+        if not self.negated:
+            return text
+        return f"!({text})" if " " in text else "!" + text
+
+
+def _join(parts: list[str], op: str) -> str:
+    """parts joined by op, each compound part (one holding a space) in
+    parentheses; a lone part as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    return op.join(f"({part})" if " " in part else part for part in parts)
 
 
 def _split_form(sub: MinimalForm, var: int) -> MinimalForm:
     """x_var ^ sub, sub's variables from var on shifted up by one.
 
     The shift keeps every order: variable indices are single digits, so
-    canonical tags compare as before.
+    _product_key tags compare as before.
     """
     m = sub.arity + 1
     low = (1 << (m - 1 - var)) - 1  # index bits of the variables after var
@@ -615,15 +455,3 @@ def minimal_form(tt: TruthTable, mode: str = "auto") -> MinimalForm:
         raise ValueError(f"unknown cover mode {mode!r}")
     return _minimal_form(tt, mode)
 
-
-def minimize(tt: TruthTable, mode: str = "auto") -> BoolExpr:
-    """Minimal mixed-operator expression of a truth table (see minimal_form)."""
-    expr, _ = minimize_detailed(tt, mode)
-    return expr
-
-
-def minimize_detailed(tt: TruthTable, mode: str = "auto") -> tuple[BoolExpr, str]:
-    """Like minimize, also reporting the cover mode actually used
-    ("exact" or "greedy") for the table that was covered."""
-    form = minimal_form(tt, mode)
-    return form.to_expr(), form.cover_mode

@@ -106,11 +106,11 @@ def _cmd_analyze(args) -> int:
         "rule": rules.format_rule_spec(tt),
         "arity": tt.arity,
         "cover_mode": profile.cover_mode,
-        "leaves": boolmin.leaf_count(profile.expr),
+        "leaves": profile.form.leaf_count,
         "static": _vector_json(measures.static_measure(profile)),
     }
     if args.emit_expr:
-        payload["expression"] = boolmin.format_expr(profile.expr, tt.arity)
+        payload["expression"] = profile.form.format()
     if args.emit_mtable:
         payload["mtable"] = profile.mcodes.tolist()
     _emit(payload)

@@ -2,31 +2,32 @@
 
 Each cell of the truth table is re-evaluated over the M code (state bit
 plus behavior label) instead of plain bits: leaves map 0 -> M=0 and
-1 -> M=5, and every NOT/AND/OR/XOR node combines M codes through fixed
-6-valued tables. The state bit of the result always projects back to the
+1 -> M=5, and every NOT/AND/OR/XOR operator combines M codes through
+fixed 6-valued tables. The state bit of the result always projects back to the
 plain Boolean value; the behavior axis carries the growth / decrease /
 chaoticity bookkeeping.
 
 The binary tables follow a severity order chaotic > decrease > stable on
 state-0 results, and a destroyed live input (operand states differing
-under AND) reads as decrease. n-ary nodes are folded left-associatively
-over their canonically sorted children.
+under AND) reads as decrease. Each n-ary operator of a
+`boolmin.MinimalForm` folds its operands left to right in the form's
+order: a product's literals by variable, then its XOR factors; the
+products as the form lists them; the split variables, ascending, then
+the core.
 
-`eval_g_all` folds a `boolmin.MinimalForm` in exactly that order without
-building its tree. `rule_profile` minimizes a rule once and M-codes its
-whole truth table; the measures, the simulator, the search and the CLI
-all read that profile, and only code that shows the expression builds it.
+`rule_profile` minimizes a rule once and M-codes its whole truth table;
+the measures, the simulator, the search and the CLI all read that
+profile.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import boolmin
-from .boolmin import BoolExpr, MinimalForm
+from .boolmin import MinimalForm
 from .rules import (
     CHAOTIC_CODES,
     DECREASE_CODES,
@@ -184,8 +185,7 @@ def _fold_terms(terms: Sequence[boolmin.Term], leaves: np.ndarray, tables: HTabl
 def eval_g_all(form: MinimalForm, tables: HTables = DEFAULT_TABLES) -> np.ndarray:
     """M codes of a minimal form for every assignment, by neighborhood index.
 
-    Folds the form in its expression tree's order without building the
-    tree. Each product folds its children (literals by variable, then
+    Folds the form in its term order. Each product folds its children (literals by variable, then
     XOR factors) through and_table, all products one child position at a
     time; the products fold left to right through or_table; then the
     split leaves, ascending, and that core fold through xor_table, and
@@ -209,8 +209,6 @@ class RuleProfile:
     """A rule's minimal form and its M-coded truth table.
 
     mcodes holds one M code per neighborhood index (read-only uint8).
-    The expression tree is built on first use of `expr`, so code that
-    only reads mcodes never builds it.
     """
 
     tt: TruthTable
@@ -221,10 +219,6 @@ class RuleProfile:
     def cover_mode(self) -> str:
         """The cover strategy actually used ("exact" or "greedy")."""
         return self.form.cover_mode
-
-    @cached_property
-    def expr(self) -> BoolExpr:
-        return self.form.to_expr()
 
     def refolded(self, tables: HTables) -> "RuleProfile":
         """The same form M-coded under other operator tables."""

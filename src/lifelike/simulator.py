@@ -202,22 +202,14 @@ def _evolve(
 
 # --- PPM output -------------------------------------------------------------
 
-def ppm_bytes(array: np.ndarray, kind: str = "auto") -> bytes:
+def ppm_bytes(array: np.ndarray, kind: str) -> bytes:
     """Binary PPM (P6) payload for a lattice, M field, or grayscale matrix.
 
-    kind: "binary" (0 white / 1 black), "mfield" (6-color palette),
-    "gray" (linear 0..1 -> 0..255), or "auto" (floats render gray,
-    integer arrays with values above 1 render as M fields).
+    kind: "binary" (0 white / 1 black), "mfield" (6-color palette) or
+    "gray" (linear 0..1 -> 0..255).
     """
     if array.ndim != 2:
         raise ValueError("PPM output requires a 2D array")
-    if kind == "auto":
-        if np.issubdtype(array.dtype, np.floating):
-            kind = "gray"
-        elif array.max(initial=0) > 1:
-            kind = "mfield"
-        else:
-            kind = "binary"
     rows, cols = array.shape
     if kind == "gray":
         level = np.clip(np.rint(array * 255), 0, 255).astype(np.uint8)
@@ -234,7 +226,7 @@ def ppm_bytes(array: np.ndarray, kind: str = "auto") -> bytes:
     return header + pixels.tobytes()
 
 
-def render_ppm(array: np.ndarray, path: str | Path, kind: str = "auto") -> None:
+def render_ppm(array: np.ndarray, path: str | Path, kind: str) -> None:
     Path(path).write_bytes(ppm_bytes(array, kind))
 
 

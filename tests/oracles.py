@@ -54,27 +54,57 @@ def dynamic_measure_naive(profile: RuleProfile, params: DynamicParams) -> Behavi
     return BehaviorVector.from_counts(np.array(percentages).mean(axis=0))
 
 
-def eval_m_naive(expr: boolmin.BoolExpr, cells, tables: HTables) -> int:
-    """M code of one neighborhood: a scalar fold over the operator tables.
+def _products_naive(form: boolmin.MinimalForm, cells):
+    """Per term, its product's children: literal (value, negated) pairs by
+    variable, then (a, b) XOR factors."""
+    m = form.arity
+    for mask, value, xors in form.terms:
+        literals = [
+            (cells[j], not value >> (m - 1 - j) & 1) for j in range(m) if mask >> (m - 1 - j) & 1
+        ]
+        yield literals, [(cells[a], cells[b]) for a, b in xors]
 
-    Leaves read bit 0 as M=0 and bit 1 as M=5; an n-ary node folds its
-    children left to right.
-    """
-    if isinstance(expr, boolmin.Var):
-        return 5 * cells[expr.index]
-    if isinstance(expr, boolmin.Const):
-        return 5 * expr.bit
-    if isinstance(expr, boolmin.Not):
-        return int(tables.not_table[eval_m_naive(expr.child, cells, tables)])
-    table = {
-        boolmin.And: tables.and_table,
-        boolmin.Or: tables.or_table,
-        boolmin.Xor: tables.xor_table,
-    }[type(expr)]
-    acc = eval_m_naive(expr.children[0], cells, tables)
-    for child in expr.children[1:]:
-        acc = int(table[acc, eval_m_naive(child, cells, tables)])
+
+def eval_form_naive(form: boolmin.MinimalForm, cells) -> int:
+    """Boolean value of a form on one neighborhood: the split variables XOR
+    the OR of the products, negated if the form is."""
+    core = any(
+        all(bit != negated for bit, negated in literals) and all(a != b for a, b in factors)
+        for literals, factors in _products_naive(form, cells)
+    )
+    acc = int(form.negated) ^ int(core)
+    for j in form.splits:
+        acc ^= cells[j]
     return acc
+
+
+def eval_m_naive(form: boolmin.MinimalForm, cells, tables: HTables) -> int:
+    """M code of one neighborhood: a scalar fold of the form over the
+    operator tables.
+
+    Leaves read bit 0 as M=0 and bit 1 as M=5. Each product folds its
+    literals, then its XOR factors, through the AND table; the products
+    fold left to right through the OR table; the split variables, then
+    that core, through the XOR table; then the NOT table if negated. A
+    form with neither splits nor terms is the constant 5 * negated.
+    """
+    operands = [5 * cells[j] for j in form.splits]
+    core = None
+    for literals, factors in _products_naive(form, cells):
+        children = [int(tables.not_table[5 * bit]) if neg else 5 * bit for bit, neg in literals]
+        children += [int(tables.xor_table[5 * a, 5 * b]) for a, b in factors]
+        product = children[0]
+        for child in children[1:]:
+            product = int(tables.and_table[product, child])
+        core = product if core is None else int(tables.or_table[core, product])
+    if core is not None:
+        operands.append(core)
+    if not operands:
+        return 5 * form.negated
+    acc = operands[0]
+    for operand in operands[1:]:
+        acc = int(tables.xor_table[acc, operand])
+    return int(tables.not_table[acc]) if form.negated else acc
 
 
 def cube_key(imp: boolmin.Implicant, arity: int) -> tuple[int, ...]:
@@ -88,23 +118,6 @@ def cube_key(imp: boolmin.Implicant, arity: int) -> tuple[int, ...]:
 
 def covers(imp: boolmin.Implicant, minterm: int) -> bool:
     return (minterm & imp.mask) == imp.value
-
-
-def product_expr(mask: int, value: int, xors, arity: int) -> boolmin.BoolExpr:
-    """The And of a term's literals x_j / !x_j and its x_a ^ x_b factors."""
-    children = []
-    for j in range(arity):
-        bit = 1 << (arity - 1 - j)
-        if mask & bit:
-            var = boolmin.Var(j)
-            children.append(var if value & bit else boolmin.make_not(var))
-    children += [boolmin.make_xor([boolmin.Var(a), boolmin.Var(b)]) for a, b in xors]
-    return boolmin.make_and(children)
-
-
-def to_expr(imp: boolmin.Implicant, arity: int) -> boolmin.BoolExpr:
-    """The cube as the And of its literals."""
-    return product_expr(imp.mask, imp.value, (), arity)
 
 
 def random_tables(rng: np.random.Generator) -> HTables:

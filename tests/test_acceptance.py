@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from lifelike.boolmin import eval_bool, format_expr, minimize, minimize_detailed
+from lifelike.boolmin import minimal_form
 from lifelike.catalog import write_catalog
 from lifelike.cli import main
 from lifelike.heval import rule_profile, validate_h
@@ -22,7 +22,7 @@ from lifelike.rules import elementary, gol_truth_table, index_to_cells, state_of
 from lifelike.search import GAConfig, run_ga
 from lifelike.simulator import random_lattice, step, m_field
 
-from oracles import step_naive
+from oracles import eval_form_naive, step_naive
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -44,8 +44,7 @@ def test_criterion_01_h_constraint_suite():
 
 def test_criterion_02_rule_94_end_to_end():
     tt = elementary(94)
-    expr = minimize(tt, "exact")
-    form = format_expr(expr, 3)
+    form = minimal_form(tt, "exact").format()
     mtable = tuple(rule_profile(tt, "exact").mcodes.tolist())
     me = static_measure(rule_profile(tt, "exact")).as_tuple()
     ok = (
@@ -71,7 +70,7 @@ def test_criterion_03_printed_minimal_forms():
         252: "p | q",
         254: "p | q | r",
     }
-    got = {r: format_expr(minimize(elementary(r), "exact"), 3) for r in expected}
+    got = {r: minimal_form(elementary(r), "exact").format() for r in expected}
     mismatches = {r: got[r] for r in expected if got[r] != expected[r]}
     report(
         "criterion 3 (printed minimal forms of 8 reference rules)",
@@ -87,7 +86,8 @@ def test_criterion_04_semantic_soundness_exhaustive():
         tt = elementary(rule)
         profile = rule_profile(tt, "exact")
         semantics = all(
-            eval_bool(profile.expr, index_to_cells(i, 3)) == tt.outputs[i] for i in range(8)
+            eval_form_naive(profile.form, index_to_cells(i, 3)) == tt.outputs[i]
+            for i in range(8)
         )
         projection = (
             tuple(state_of(int(c)) for c in profile.mcodes) == tt.outputs

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,27 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelike.boolmin import (
-    And,
-    Const,
     CoverBudgetExceeded,
     Implicant,
     MinimalForm,
-    Not,
-    Or,
-    Var,
-    Xor,
-    canonical_key,
-    eval_bool,
-    format_expr,
-    leaf_count,
-    make_and,
-    make_not,
-    make_or,
-    make_xor,
+    _product_key,
     minimal_cover,
     minimal_form,
-    minimize,
-    minimize_detailed,
     prime_implicants,
     xor_extract,
 )
@@ -35,80 +21,49 @@ from lifelike.rules import TruthTable, elementary, gol_truth_table, index_to_cel
 from oracles import (
     covers,
     cube_key,
+    eval_form_naive,
     parity_split_table,
     petrick_naive,
     prime_implicants_qm,
-    product_expr,
     random_table,
-    to_expr,
 )
 
 
-def exhaustive_equal(expr, tt: TruthTable) -> bool:
+def exhaustive_equal(form: MinimalForm, tt: TruthTable) -> bool:
     return all(
-        eval_bool(expr, index_to_cells(i, tt.arity)) == tt.outputs[i]
+        eval_form_naive(form, index_to_cells(i, tt.arity)) == tt.outputs[i]
         for i in range(1 << tt.arity)
     )
 
 
-class TestSmartConstructors:
-    def test_not_cancels(self):
-        assert make_not(make_not(Var(0))) == Var(0)
-
-    def test_not_consts(self):
-        assert make_not(Const(0)) == Const(1)
-
-    def test_and_flattens_and_dedups(self):
-        e = make_and([Var(0), make_and([Var(1), Var(0)])])
-        assert isinstance(e, And)
-        assert set(e.children) == {Var(0), Var(1)}
-
-    def test_and_annihilator(self):
-        assert make_and([Var(0), Const(0)]) == Const(0)
-
-    def test_or_identity(self):
-        assert make_or([Var(2), Const(0)]) == Var(2)
-
-    def test_xor_pair_cancellation(self):
-        assert make_xor([Var(0), Var(1), Var(0)]) == Var(1)
-
-    def test_xor_odd_constant_becomes_not(self):
-        e = make_xor([Var(0), Var(1), Const(1)])
-        assert isinstance(e, Not)
-        assert isinstance(e.child, Xor)
-
-    def test_single_child_collapses(self):
-        assert make_or([Var(3)]) == Var(3)
-        assert make_and([Var(3)]) == Var(3)
-
-
 class TestCanonicalKey:
     def test_literals_sort_before_compounds(self):
-        lit = canonical_key(Var(8))
-        compound = canonical_key(make_xor([Var(0), Var(1)]))
+        lit = _product_key((0b1, 0b1, ()), 9)  # x8
+        compound = _product_key((0, 0, ((0, 1),)), 9)  # x0 ^ x1
         assert lit < compound
 
     def test_negated_literal_is_still_literal(self):
-        assert canonical_key(make_not(Var(0)))[0] == 0
+        assert _product_key((1 << 8, 0, ()), 9)[0] == 0  # !x0
 
     def test_children_sorted(self):
-        e1 = make_and([Var(1), Var(0)])
-        e2 = make_and([Var(0), Var(1)])
-        assert e1 == e2
+        tt = elementary(94)
+        cover = minimal_cover(list(prime_implicants(tt)), tt, "exact")
+        assert xor_extract(cover, 3) == xor_extract(cover[::-1], 3)
 
 
 class TestFormatExpr:
     def test_elementary_aliases(self):
-        e = make_or([make_and([make_not(Var(0)), Var(1)]), make_xor([Var(0), Var(2)])])
-        assert format_expr(e, 3) == "(!p & q) | (p ^ r)"
+        form = MinimalForm(3, (), False, ((0b110, 0b010, ()), (0, 0, ((0, 2),))), "exact")
+        assert form.format() == "(!p & q) | (p ^ r)"
+        assert form.leaf_count == 4
 
     def test_moore_variables(self):
-        e = make_and([Var(0), make_not(Var(8))])
-        assert format_expr(e, 9) == "x0 & !x8"
+        form = MinimalForm(9, (), False, ((0b100000001, 0b100000000, ()),), "exact")
+        assert form.format() == "x0 & !x8"
 
     def test_constants(self):
-        assert format_expr(Const(0), 3) == "0"
-        assert format_expr(Const(1), 3) == "1"
+        assert MinimalForm(3, (), False, (), "exact").format() == "0"
+        assert MinimalForm(3, (), True, (), "exact").format() == "1"
 
 
 class TestPrimeImplicants:
@@ -224,32 +179,29 @@ class TestImplicant:
 
     def test_to_expr(self):
         imp = Implicant(mask=0b101, value=0b100)
-        assert format_expr(to_expr(imp, 3), 3) == "p & !r"
+        assert MinimalForm(3, (), False, ((imp.mask, imp.value, ()),), "exact").format() == "p & !r"
 
 
 class TestXorExtract:
     def test_pure_parity_rule_150(self):
-        e = minimize(elementary(150), "exact")
-        assert isinstance(e, Xor)
-        assert e.children == (Var(0), Var(1), Var(2))
+        form = minimal_form(elementary(150), "exact")
+        assert (form.format(), form.leaf_count) == ("p ^ q ^ r", 3)
 
     def test_rule_90(self):
-        e = minimize(elementary(90), "exact")
-        assert e == make_xor([Var(0), Var(2)])
+        assert minimal_form(elementary(90), "exact") == MinimalForm(3, (0, 2), False, (), "exact")
 
     def test_rewrites_exact_cover_of_rule_94(self):
         tt = elementary(94)
         cover = minimal_cover(list(prime_implicants(tt)), tt, "exact")
         form = MinimalForm(3, (), False, xor_extract(cover, 3), "exact")
-        assert format_expr(form.to_expr(), 3) == "(!p & q) | (p ^ r)"
+        assert form.format() == "(!p & q) | (p ^ r)"
 
     def test_extraction_never_breaks_semantics(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             bits = tuple(int(b) for b in rng.integers(0, 2, size=16))
             tt = TruthTable(4, bits)
-            expr = minimize(tt, "exact")
-            assert exhaustive_equal(expr, tt)
+            assert exhaustive_equal(minimal_form(tt, "exact"), tt)
 
 
 class TestMinimalForm:
@@ -269,22 +221,51 @@ class TestMinimalForm:
         st.booleans(),
         st.sampled_from(["exact", "greedy", "auto"]),
     )
-    def test_products_in_form_order_are_the_children_make_or_returns(
-        self, arity, density, seed, split, mode
-    ):
+    def test_terms_come_in_product_key_order(self, arity, density, seed, split, mode):
+        # Split forms shift their cofactor's terms; the order must survive.
         tt = random_table(arity, density, seed, split)
         try:
             form = minimal_form(tt, mode)
         except CoverBudgetExceeded:
             return
         assert list(form.splits) == sorted(set(form.splits))
-        products = [product_expr(*term, arity) for term in form.terms]
-        core = make_or(products)
-        if len(products) > 1:
-            assert core.children == tuple(products)
-        elif products:
-            assert core == products[0]
-        assert exhaustive_equal(form.to_expr(), tt)
+        keys = [_product_key(term, arity) for term in form.terms]
+        assert keys == sorted(set(keys))
+        assert exhaustive_equal(form, tt)
+
+
+def _eval_printed(text: str, arity: int) -> np.ndarray:
+    """Evaluate printed CLI-grammar text as Python over every table row."""
+    names = ("p", "q", "r") if arity == 3 else tuple(f"x{j}" for j in range(arity))
+    rows = np.arange(1 << arity)
+    env = {name: rows >> (arity - 1 - j) & 1 for j, name in enumerate(names)}
+    # Python's & binds tighter than ^, so a negated name keeps its own
+    # parentheses; a ! before "(" negates a parenthesized operand.
+    source = re.sub(r"!(\w+)", r"(1 ^ \1)", text).replace("!", "1 ^ ")
+    return np.broadcast_to(eval(source, {"__builtins__": {}}, env), rows.shape)
+
+
+class TestPrintedText:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 9),
+        st.floats(0, 1),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["exact", "greedy", "auto"]),
+    )
+    def test_printed_text_evaluates_to_the_table(self, arity, density, seed, split, mode):
+        tt = random_table(arity, density, seed, split and arity > 0)
+        try:
+            form = minimal_form(tt, mode)
+        except CoverBudgetExceeded:
+            return
+        assert _eval_printed(form.format(), arity).tolist() == list(tt.outputs)
+
+    def test_every_elementary_rule(self):
+        for rule in range(256):
+            text = minimal_form(elementary(rule), "exact").format()
+            assert _eval_printed(text, 3).tolist() == list(elementary(rule).outputs), rule
 
 
 class TestMinimize:
@@ -300,63 +281,64 @@ class TestMinimize:
             (252, "p | q"),
             (254, "p | q | r"),
             (94, "(!p & q) | (p ^ r)"),
+            (15, "!p"),
+            (195, "!(p ^ q)"),
+            (105, "!(p ^ q ^ r)"),
         ],
     )
     def test_printed_minimal_forms(self, rule, expected):
-        assert format_expr(minimize(elementary(rule), "exact"), 3) == expected
+        assert minimal_form(elementary(rule), "exact").format() == expected
 
     def test_constant_rules(self):
-        assert minimize(elementary(0)) == Const(0)
-        assert minimize(elementary(255)) == Const(1)
+        assert minimal_form(elementary(0)).format() == "0"
+        assert minimal_form(elementary(255)).format() == "1"
 
     def test_modes_reported(self):
-        _, mode = minimize_detailed(elementary(110), "exact")
-        assert mode == "exact"
-        _, mode = minimize_detailed(elementary(110), "greedy")
-        assert mode == "greedy"
+        assert minimal_form(elementary(110), "exact").cover_mode == "exact"
+        assert minimal_form(elementary(110), "greedy").cover_mode == "greedy"
 
     def test_unknown_mode_rejected_for_constant_table(self):
         with pytest.raises(ValueError):
-            minimize_detailed(elementary(0), "fast")
+            minimal_form(elementary(0), "fast")
 
     def test_auto_falls_back_to_greedy_when_budget_exceeded(self):
         rng = np.random.default_rng(0)
         bits = tuple(int(b) for b in rng.integers(0, 2, size=512))
         tt = TruthTable(9, bits)
-        expr, mode = minimize_detailed(tt, "auto")
-        assert mode in ("exact", "greedy")
-        assert eval_bool(expr, index_to_cells(0, 9)) == tt.outputs[0]
+        form = minimal_form(tt, "auto")
+        assert form.cover_mode in ("exact", "greedy")
+        assert eval_form_naive(form, index_to_cells(0, 9)) == tt.outputs[0]
 
     def test_parity_split_is_taken_before_covering(self):
         # Covering the whole table would exceed the exact budget; only the
         # cofactor g of tt = x0 ^ g is covered.
         tt = parity_split_table(0)
-        expr, used = minimize_detailed(tt, "exact")
-        assert used == "exact"
-        assert format_expr(expr, 9).startswith("x0 ^ ")
-        assert minimize_detailed(tt, "auto") == (expr, "exact")
-        assert exhaustive_equal(expr, tt)
+        form = minimal_form(tt, "exact")
+        assert form.cover_mode == "exact"
+        assert form.format().startswith("x0 ^ ")
+        assert minimal_form(tt, "auto") == form
+        assert exhaustive_equal(form, tt)
 
     def test_gol_exact_cover(self):
-        expr, mode = minimize_detailed(gol_truth_table(), "auto")
-        assert mode == "exact"
+        form = minimal_form(gol_truth_table(), "auto")
+        assert form.cover_mode == "exact"
         tt = gol_truth_table()
         rng = np.random.default_rng(3)
         for idx in rng.integers(0, 512, size=200):
             cells = index_to_cells(int(idx), 9)
-            assert eval_bool(expr, cells) == tt.outputs[idx]
+            assert eval_form_naive(form, cells) == tt.outputs[idx]
 
     @given(st.integers(0, 255), st.sampled_from(["exact", "greedy"]))
     @settings(max_examples=60, deadline=None)
     def test_semantics_preserved_elementary(self, rule, mode):
         tt = elementary(rule)
-        assert exhaustive_equal(minimize(tt, mode), tt)
+        assert exhaustive_equal(minimal_form(tt, mode), tt)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_semantics_preserved_arity5(self, bits):
         tt = TruthTable(5, tuple((bits >> i) & 1 for i in range(32)))
-        assert exhaustive_equal(minimize(tt, "exact"), tt)
+        assert exhaustive_equal(minimal_form(tt, "exact"), tt)
 
     @given(st.integers(0, 255))
     @settings(max_examples=40, deadline=None)
@@ -366,14 +348,14 @@ class TestMinimize:
             return
         primes = prime_implicants(tt)
         cover = minimal_cover(list(primes), tt, "exact")
-        plain = make_or([to_expr(c, 3) for c in cover])
-        assert leaf_count(minimize(tt, "exact")) <= leaf_count(plain)
+        plain = sum(c.literal_count for c in cover)
+        assert minimal_form(tt, "exact").leaf_count <= plain
 
     def test_deterministic(self):
-        a = minimize(elementary(110), "exact")
-        b = minimize(elementary(110), "exact")
+        a = minimal_form(elementary(110), "exact")
+        b = minimal_form(elementary(110), "exact")
         assert a == b
-        assert format_expr(a, 3) == format_expr(b, 3)
+        assert a.format() == b.format()
 
 
 def _moore_table(density: float, seed: int) -> TruthTable:
@@ -382,48 +364,48 @@ def _moore_table(density: float, seed: int) -> TruthTable:
 
 
 def _digest(tt: TruthTable, mode: str) -> str:
-    """sha256 prefix of repr(expr) + used mode, or of the budget message."""
+    """sha256 prefix of repr(form), which holds the used cover mode, or of
+    the budget message."""
     try:
-        expr, used = minimize_detailed(tt, mode)
-        text = repr(expr) + used
+        text = repr(minimal_form(tt, mode))
     except CoverBudgetExceeded as exc:
         text = str(exc)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# (exact, greedy, auto) digests, recorded before the Shannon parity split
-# moved ahead of covering; seeds 3 and 4 of the denser tables were
-# recorded before Petrick products became int bitmasks. "elementary"
-# hashes the digests of rules 0-255; (density, seed) keys are random 9-ary
-# tables.
+# (exact, greedy, auto) digests of repr(form), recorded at the commit
+# before the expression tree was removed, where the earlier repr(expr) +
+# used-mode digests (kept since the Shannon parity split moved ahead of
+# covering) also passed. "elementary" hashes the digests of rules 0-255;
+# (density, seed) keys are random 9-ary tables.
 GOLDEN_MINIMIZE = {
-    "elementary": ("e729f195c20eee4a", "36d736f11e1ab57b", "e729f195c20eee4a"),
-    "gol": ("f3307c4396c7343a", "b0ce1fe1555d9401", "f3307c4396c7343a"),
-    (0.1, 0): ("92dee2a85f3353f2", "bcc62dafe190fc28", "92dee2a85f3353f2"),
-    (0.1, 1): ("f996165449907924", "8a69580ad0e82caa", "f996165449907924"),
-    (0.1, 2): ("6e2c6ee10618d62d", "d139d3416fb8808b", "6e2c6ee10618d62d"),
-    (0.1, 3): ("e571c57915ca6132", "047d560719d8643c", "e571c57915ca6132"),
-    (0.1, 4): ("1cce68fcfa0b4837", "c10bc339680f934a", "1cce68fcfa0b4837"),
-    (0.3, 0): ("84cff28a2e489ad2", "44274f735281af68", "44274f735281af68"),
-    (0.3, 1): ("84cff28a2e489ad2", "3193e256fede5455", "3193e256fede5455"),
-    (0.3, 2): ("c8aa682d8a133573", "28ebb4006423a954", "c8aa682d8a133573"),
-    (0.3, 3): ("84cff28a2e489ad2", "3bb484dcde8957d8", "3bb484dcde8957d8"),
-    (0.3, 4): ("84cff28a2e489ad2", "6e3ec3ef450598ed", "6e3ec3ef450598ed"),
-    (0.5, 0): ("84cff28a2e489ad2", "e9b924146f58f7f1", "e9b924146f58f7f1"),
-    (0.5, 1): ("84cff28a2e489ad2", "2df925cb61b02596", "2df925cb61b02596"),
-    (0.5, 2): ("84cff28a2e489ad2", "ba171652d0976aff", "ba171652d0976aff"),
-    (0.5, 3): ("84cff28a2e489ad2", "a1cc4b5010007956", "a1cc4b5010007956"),
-    (0.5, 4): ("84cff28a2e489ad2", "cbcd0f817fa6bb9b", "cbcd0f817fa6bb9b"),
-    (0.7, 0): ("84cff28a2e489ad2", "7cfcd92fdfb9847d", "7cfcd92fdfb9847d"),
-    (0.7, 1): ("84cff28a2e489ad2", "5a5093a59fbb16ed", "5a5093a59fbb16ed"),
-    (0.7, 2): ("84cff28a2e489ad2", "6afecb571f5df454", "6afecb571f5df454"),
-    (0.7, 3): ("84cff28a2e489ad2", "3e36e9dbb26c82a0", "3e36e9dbb26c82a0"),
-    (0.7, 4): ("84cff28a2e489ad2", "5405d631e9fc3d62", "5405d631e9fc3d62"),
-    (0.9, 0): ("84cff28a2e489ad2", "995d084b86bc9c2b", "995d084b86bc9c2b"),
-    (0.9, 1): ("84cff28a2e489ad2", "06e100eacf6bb396", "06e100eacf6bb396"),
-    (0.9, 2): ("84cff28a2e489ad2", "5755d5ca20350b65", "5755d5ca20350b65"),
-    (0.9, 3): ("84cff28a2e489ad2", "1d3dc866e8a81da8", "1d3dc866e8a81da8"),
-    (0.9, 4): ("84cff28a2e489ad2", "7a02ef614d8e6dd5", "7a02ef614d8e6dd5"),
+    'elementary': ('dfbe56d74d05b92c', '5ef56b68689d205d', 'dfbe56d74d05b92c'),
+    'gol': ('7d06a5cb8a19bf0c', '76193486165525f8', '7d06a5cb8a19bf0c'),
+    (0.1, 0): ('aeb4c1216a3b0557', '8c5450151167e4e7', 'aeb4c1216a3b0557'),
+    (0.1, 1): ('19005eba03c5d344', '134fc1fbaa931f31', '19005eba03c5d344'),
+    (0.1, 2): ('8f05434c853246b3', '416288143e5faeb0', '8f05434c853246b3'),
+    (0.1, 3): ('1649db8e889e6c0d', 'e5f8528717122598', '1649db8e889e6c0d'),
+    (0.1, 4): ('6e9bbf4679e3ed60', '6af44ce18fdab4c6', '6e9bbf4679e3ed60'),
+    (0.3, 0): ('84cff28a2e489ad2', '1de232b7dc7039c1', '1de232b7dc7039c1'),
+    (0.3, 1): ('84cff28a2e489ad2', 'a7b416c894ca8e33', 'a7b416c894ca8e33'),
+    (0.3, 2): ('2708830342113de1', '1391603b2c88d84b', '2708830342113de1'),
+    (0.3, 3): ('84cff28a2e489ad2', '024069e87a533a08', '024069e87a533a08'),
+    (0.3, 4): ('84cff28a2e489ad2', 'dd085e6e901e37ad', 'dd085e6e901e37ad'),
+    (0.5, 0): ('84cff28a2e489ad2', '29244c66d05d05eb', '29244c66d05d05eb'),
+    (0.5, 1): ('84cff28a2e489ad2', 'f48f3837c651f9f1', 'f48f3837c651f9f1'),
+    (0.5, 2): ('84cff28a2e489ad2', '3914e179182cf57d', '3914e179182cf57d'),
+    (0.5, 3): ('84cff28a2e489ad2', '3d4da19235a6eddc', '3d4da19235a6eddc'),
+    (0.5, 4): ('84cff28a2e489ad2', '7e3513207d171cbe', '7e3513207d171cbe'),
+    (0.7, 0): ('84cff28a2e489ad2', 'c5a199ca48c1ea28', 'c5a199ca48c1ea28'),
+    (0.7, 1): ('84cff28a2e489ad2', 'e997b7ad60058bd7', 'e997b7ad60058bd7'),
+    (0.7, 2): ('84cff28a2e489ad2', '7adcd75da446c9a1', '7adcd75da446c9a1'),
+    (0.7, 3): ('84cff28a2e489ad2', 'f5cc03d7cf4f40ab', 'f5cc03d7cf4f40ab'),
+    (0.7, 4): ('84cff28a2e489ad2', 'f33f1c872e616965', 'f33f1c872e616965'),
+    (0.9, 0): ('84cff28a2e489ad2', 'b79312fe8770912a', 'b79312fe8770912a'),
+    (0.9, 1): ('84cff28a2e489ad2', '686e03ef303e5292', '686e03ef303e5292'),
+    (0.9, 2): ('84cff28a2e489ad2', '23bfa44ea6333c0d', '23bfa44ea6333c0d'),
+    (0.9, 3): ('84cff28a2e489ad2', '3bca520d39968b32', '3bca520d39968b32'),
+    (0.9, 4): ('84cff28a2e489ad2', '2d1ebef37f786901', '2d1ebef37f786901'),
 }
 
 

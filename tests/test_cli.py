@@ -140,6 +140,16 @@ class TestAnalyze:
         assert payload["leaves"] == 4
         assert payload["cover_mode"] == "exact"
 
+    @pytest.mark.parametrize(
+        "spec,expression,leaves",
+        [("elem:105", "!(p ^ q ^ r)", 3), ("elem:195", "!(p ^ q)", 2)],
+    )
+    def test_negated_parity_prints_one_pair_of_parentheses(self, capsys, spec, expression, leaves):
+        code, out, _ = run(capsys, "analyze", spec, "--emit-expr")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["expression"], payload["leaves"]) == (expression, leaves)
+
     def test_emit_mtable(self, capsys):
         code, out, _ = run(capsys, "analyze", "elem:94", "--emit-mtable")
         payload = json.loads(out)

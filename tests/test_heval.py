@@ -19,7 +19,7 @@ from lifelike.rules import (
     state_of,
 )
 
-from oracles import eval_m_naive, random_table, random_tables
+from oracles import eval_form_naive, eval_m_naive, random_table, random_tables
 
 m_codes = st.sampled_from(M_VALUES)
 NOT = DEFAULT_TABLES.not_table
@@ -101,7 +101,7 @@ class TestRuleProfile:
         bits = np.random.default_rng(seed).random(512) < density
         tt = TruthTable(9, tuple(int(b) for b in bits))
         profile = rule_profile(tt, mode)
-        rows = tuple(boolmin.eval_bool(profile.expr, index_to_cells(i, 9)) for i in range(512))
+        rows = tuple(eval_form_naive(profile.form, index_to_cells(i, 9)) for i in range(512))
         assert rows == tt.outputs
         assert tuple(state_of(c) for c in profile.mcodes.tolist()) == tt.outputs
         if mode == "greedy":
@@ -132,10 +132,9 @@ class TestEvalGAll:
         tt: TruthTable, mode: str = "exact", tables: HTables = DEFAULT_TABLES
     ) -> None:
         form = boolmin.minimal_form(tt, mode)
-        expr = form.to_expr()
         codes = eval_g_all(form, tables).tolist()
         for i in range(1 << tt.arity):
-            assert eval_m_naive(expr, index_to_cells(i, tt.arity), tables) == codes[i]
+            assert eval_m_naive(form, index_to_cells(i, tt.arity), tables) == codes[i]
 
     def test_agrees_with_scalar_eval(self):
         self.assert_agrees_with_scalar_fold(elementary(110))
@@ -220,11 +219,15 @@ class TestReadOnlyTables:
 
 class TestFoldOrder:
     def test_literals_fold_before_xor_factors(self):
-        # In (q) AND (p ^ r) the literal enters the fold first; with two
-        # live inputs the XOR factor contributes chaos, so the conjunction
-        # must see it after the stable literal.
-        expr = boolmin.make_and(
-            [boolmin.make_xor([boolmin.Var(0), boolmin.Var(2)]), boolmin.Var(1)]
-        )
-        assert isinstance(expr, boolmin.And)
-        assert expr.children[0] == boolmin.Var(1)
+        # In q & (p ^ r) the literal enters the AND fold first. Under
+        # asymmetric tables the XOR factor first would give other codes.
+        form = boolmin.minimal_form(elementary(72), "exact")
+        assert form.format() == "q & (p ^ r)"
+        tables = random_tables(np.random.default_rng(0))
+        literal_first, factor_first = [], []
+        for i in range(8):
+            p, q, r = (5 * c for c in index_to_cells(i, 3))
+            factor = tables.xor_table[p, r]
+            literal_first.append(int(tables.and_table[q, factor]))
+            factor_first.append(int(tables.and_table[factor, q]))
+        assert eval_g_all(form, tables).tolist() == literal_first != factor_first

@@ -124,16 +124,6 @@ class TestEvaluate:
         assert ind.md is not None
         assert spy.call_count == 1
 
-    def test_expression_tree_never_built(self):
-        # Both measures read the M table folded from the minimal form.
-        ind = Individual(gol_truth_table().as_array())
-        with mock.patch.object(boolmin.MinimalForm, "to_expr") as to_expr, mock.patch.object(
-            boolmin, "make_or", wraps=boolmin.make_or
-        ) as make_or:
-            evaluate(ind, SMALL)
-        assert ind.md is not None
-        assert to_expr.call_count == 0 and make_or.call_count == 0
-
     def test_reevaluation_is_reproducible(self):
         rng = np.random.default_rng(3)
         ind1 = Individual(chromosome(rng))

@@ -251,11 +251,14 @@ class TestPPM:
         data = ppm_bytes(np.array([[3]], dtype=np.uint8), "mfield")
         assert data.endswith(bytes([255, 0, 0]))
 
-    def test_auto_detection(self):
-        gray = ppm_bytes(np.array([[0.5]]), "auto")
-        assert gray.endswith(bytes([128, 128, 128]))
-        m = ppm_bytes(np.array([[4]], dtype=np.uint8), "auto")
-        assert m.endswith(bytes([0, 0, 255]))
+    def test_gray_levels(self):
+        data = ppm_bytes(np.array([[0.5]]), "gray")
+        assert data.endswith(bytes([128, 128, 128]))
+
+    @pytest.mark.parametrize("kind", ["auto", "rgb"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown render kind"):
+            ppm_bytes(np.array([[0, 1]], dtype=np.uint8), kind)
 
     def test_render_round_trip(self, tmp_path):
         path = tmp_path / "img.ppm"
