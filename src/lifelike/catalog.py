@@ -5,6 +5,7 @@ values survive any JSON consumer.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -93,26 +94,49 @@ def read_catalog(path: str | Path) -> list[CatalogRecord]:
     return records
 
 
+def _measure(tt, cover_mode: str, dynamic_params) -> tuple:
+    """(me, md, correlation) of one decoded rule; md and correlation are
+    None without `dynamic_params`."""
+    profile = rule_profile(tt, cover_mode)
+    me = static_measure(profile)
+    md = corr = None
+    if dynamic_params is not None:
+        md = dynamic_measure(profile, dynamic_params)
+        try:
+            corr = correlation(me, md)
+        except MeasureError:
+            corr = None
+    return me, md, corr
+
+
 def import_published_rules(
     path: str | Path,
     bit_order: str = "lsb",
     arity: int = 9,
     dynamic_params=None,
     cover_mode: str = "greedy",
-    diagnostics: TextIO = sys.stderr,
+    diagnostics: TextIO | None = None,
+    map_fn=map,
 ) -> list[CatalogRecord]:
     """Decode a plain-text file of decimal rule numbers, one per line.
 
     Each valid line becomes a record with its static measure; pass
     `dynamic_params` to also sample the dynamic measure (off by default —
     decoding hundreds of rules should not force hundreds of simulations).
-    Malformed lines are reported to `diagnostics` with their line number
-    and skipped; the remaining lines still produce records. An arity
-    outside [0, 9] raises CatalogError before the file is opened.
+    Malformed lines are reported to `diagnostics` (the current sys.stderr
+    by default) with their line number and skipped; the remaining lines
+    still produce records. An arity outside [0, 9] raises CatalogError
+    before the file is opened.
+
+    Every line is decoded first; the decoded rules are then measured with
+    one call of `map_fn(job, tables)`, which must return the results in
+    order (a process pool's `map` measures them in parallel).
     """
     if not 0 <= arity <= MOORE_ARITY:
         raise CatalogError(f"arity must lie in [0, {MOORE_ARITY}], got {arity}")
-    records = []
+    if diagnostics is None:
+        diagnostics = sys.stderr
+    decoded = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -124,27 +148,21 @@ def import_published_rules(
             except (ValueError, RuleError) as exc:
                 print(f"{path}:{lineno}: skipped: {exc}", file=diagnostics)
                 continue
-            profile = rule_profile(tt, cover_mode)
-            me = static_measure(profile)
-            md = corr = None
-            if dynamic_params is not None:
-                md = dynamic_measure(profile, dynamic_params)
-                try:
-                    corr = correlation(me, md)
-                except MeasureError:
-                    corr = None
-            records.append(
-                CatalogRecord(
-                    rule=str(number.value),
-                    arity=arity,
-                    me=list(me.as_tuple()),
-                    md=list(md.as_tuple()) if md is not None else None,
-                    correlation=corr,
-                    metadata={
-                        "source": str(path),
-                        "bit_order": bit_order,
-                        "cover_mode": cover_mode,
-                    },
-                )
-            )
-    return records
+            decoded.append((number, tt))
+    job = functools.partial(_measure, cover_mode=cover_mode, dynamic_params=dynamic_params)
+    measured = map_fn(job, [tt for _, tt in decoded])
+    return [
+        CatalogRecord(
+            rule=str(number.value),
+            arity=arity,
+            me=list(me.as_tuple()),
+            md=list(md.as_tuple()) if md is not None else None,
+            correlation=corr,
+            metadata={
+                "source": str(path),
+                "bit_order": bit_order,
+                "cover_mode": cover_mode,
+            },
+        )
+        for (number, _), (me, md, corr) in zip(decoded, measured, strict=True)
+    ]

@@ -7,10 +7,12 @@ or running out of memory, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -95,6 +97,94 @@ def _vector_json(v: measures.BehaviorVector) -> dict:
         "growth": v.growth,
         "chaoticity": v.chaoticity,
     }
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_worker(lifeline: int, keep: int) -> None:
+    """Set up a pool worker: ignore Ctrl-C, which the parent handles, and
+    exit as soon as the parent is gone, even if it was killed outright."""
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.close(keep)
+    threading.Thread(target=_exit_at_eof, args=(lifeline,), daemon=True).start()
+
+
+def _exit_at_eof(fd: int) -> None:
+    os.read(fd, 1)  # end of file once no process holds the write end
+    os._exit(1)
+
+
+def _fork_pool(workers: int, stack: contextlib.ExitStack):
+    """A process pool of `workers` forked workers that `stack` shuts down,
+    or None if that is fewer than two or the platform cannot fork."""
+    if workers < 2:
+        return None
+    import multiprocessing
+    from concurrent import futures
+
+    # Fork, not spawn: a spawned worker imports numpy and lifelike again,
+    # which takes longer than a desk-scale search. With fork the executor
+    # starts all its workers before its manager thread, and `ca` starts no
+    # thread of its own. Forking flushes sys.stdout and sys.stderr, so no
+    # worker repeats buffered output.
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    # Only this process keeps the pipe's write end open: the out-of-memory
+    # killer can end it without a word, and its workers then read EOF.
+    lifeline, keep = os.pipe()
+    stack.callback(os.close, lifeline)
+    stack.callback(os.close, keep)
+    pool = futures.ProcessPoolExecutor(workers, context, _start_worker, (lifeline, keep))
+    stack.callback(pool.shutdown, cancel_futures=True)
+    return pool
+
+
+@contextlib.contextmanager
+def _cpu_map():
+    """An ordered map that runs its jobs on forked workers, one per CPU
+    this process may run on.
+
+    The workers start at the first call with two or more jobs, and there
+    are no more of them than that call has jobs. Until then, with a single
+    CPU, or on a platform that cannot fork, it is the builtin map and no
+    process starts. Workers are copies of this process, so they import
+    nothing; jobs and results travel pickled. The block ends only after
+    every worker has: on an error the queued jobs are cancelled and the
+    running ones finish first. A worker killed by a signal (the
+    out-of-memory killer, say) raises ChildProcessError; if this process
+    is killed, its workers exit by themselves.
+    """
+    with contextlib.ExitStack() as stack:
+        pool = None
+
+        def cpu_map(fn, jobs):
+            nonlocal pool
+            jobs = list(jobs)
+            if pool is None:
+                pool = _fork_pool(min(_cpu_count(), len(jobs)), stack)
+            return map(fn, jobs) if pool is None else pool.map(fn, jobs)
+
+        try:
+            yield cpu_map
+        except Exception as exc:
+            if pool is not None:
+                from concurrent.futures.process import BrokenProcessPool
+
+                if isinstance(exc, BrokenProcessPool):
+                    msg = "a worker process was killed before it finished"
+                    raise ChildProcessError(msg) from exc
+            raise
 
 
 # --- subcommands ------------------------------------------------------------
@@ -284,7 +374,10 @@ def _cmd_search(args) -> int:
             file=sys.stderr,
         )
 
-    records = search.run_ga(cfg, progress=progress if args.verbose else None)
+    with _cpu_map() as map_fn:
+        records = search.run_ga(
+            cfg, progress=progress if args.verbose else None, map_fn=map_fn
+        )
     catalog.write_catalog(records, args.out)
     _emit(
         {
@@ -326,13 +419,15 @@ def _cmd_import(args) -> int:
     params = None
     if args.with_dynamic:
         params = _dynamic_params(args)
-    records = catalog.import_published_rules(
-        args.path,
-        bit_order=args.bit_order,
-        arity=args.arity,
-        dynamic_params=params,
-        cover_mode=args.cover_mode if args.cover_mode != "auto" else "greedy",
-    )
+    with _cpu_map() as map_fn:
+        records = catalog.import_published_rules(
+            args.path,
+            bit_order=args.bit_order,
+            arity=args.arity,
+            dynamic_params=params,
+            cover_mode=args.cover_mode if args.cover_mode != "auto" else "greedy",
+            map_fn=map_fn,
+        )
     if args.out is not None:
         catalog.write_catalog(records, args.out)
         _emit({"out": args.out, "records": len(records)})

@@ -2,12 +2,14 @@
 
 Fitness is the Euclidean distance between a rule's concatenated behavior
 measures and a target vector (the Game of Life's published measures by
-default). Rules with nonzero stability in either measure are hard
-constraint violations and never enter the emitted catalog. Every distinct
-evaluated chromosome is archived with its record.
+default). Rules with nonzero static stability are hard constraint
+violations and never enter the emitted catalog. (Their dynamic stability
+is then 0 as well: the dynamic measure counts only codes of the rule's M
+table.) Every distinct evaluated chromosome is archived with its record.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -41,15 +43,11 @@ class Individual:
     me: BehaviorVector | None = None
     md: BehaviorVector | None = None
     fitness: float = math.inf
-    stability_zero: bool = False
     generation_found: int = 0
 
     @property
     def key(self) -> bytes:
         return self.chromosome.tobytes()
-
-    def truth_table(self) -> TruthTable:
-        return TruthTable(MOORE_ARITY, tuple(int(b) for b in self.chromosome))
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,10 @@ class GAConfig:
         )
 
 
+def _truth_table(chromosome: np.ndarray) -> TruthTable:
+    return TruthTable(MOORE_ARITY, tuple(int(b) for b in chromosome))
+
+
 def _dynamic_seed(cfg: GAConfig, chromosome: np.ndarray) -> int:
     """Per-chromosome sampling seed: stable within a run, so re-evaluating
     the same individual reproduces the same dynamic measure."""
@@ -107,23 +109,20 @@ def random_population(cfg: GAConfig, rng: np.random.Generator) -> list[Individua
     ]
 
 
-def evaluate(ind: Individual, cfg: GAConfig) -> Individual:
-    """Fill in measures and fitness; stability violations get worst fitness."""
-    profile = rule_profile(ind.truth_table(), cfg.cover_mode)
-    ind.me = static_measure(profile)
-    if ind.me.stability > 0:
-        ind.md = None
-        ind.fitness = math.inf
-        ind.stability_zero = False
-        return ind
-    params = cfg.dynamic_params(_dynamic_seed(cfg, ind.chromosome))
-    ind.md = dynamic_measure(profile, params)
-    ind.stability_zero = ind.md.stability == 0
-    if not ind.stability_zero:
-        ind.fitness = math.inf
-    else:
-        ind.fitness = distance(feature_vector(ind.me, ind.md), cfg.target)
-    return ind
+def evaluate(
+    chromosome: np.ndarray, cfg: GAConfig
+) -> tuple[BehaviorVector, BehaviorVector | None, float]:
+    """(me, md, fitness) of one chromosome; a static stability violation
+    gets no dynamic measure and the worst fitness.
+
+    A pure function of its arguments, so a worker process can compute it.
+    """
+    profile = rule_profile(_truth_table(chromosome), cfg.cover_mode)
+    me = static_measure(profile)
+    if me.stability > 0:
+        return me, None, math.inf
+    md = dynamic_measure(profile, cfg.dynamic_params(_dynamic_seed(cfg, chromosome)))
+    return me, md, distance(feature_vector(me, md), cfg.target)
 
 
 def one_point_crossover(
@@ -155,8 +154,7 @@ def _tournament(population: list[Individual], rng: np.random.Generator) -> Indiv
 
 
 def _record(ind: Individual, cfg: GAConfig) -> CatalogRecord:
-    tt = ind.truth_table()
-    rule = encode_rule_number(tt)
+    rule = encode_rule_number(_truth_table(ind.chromosome))
     corr: float | None
     try:
         corr = correlation(ind.me, ind.md) if ind.md is not None else None
@@ -183,30 +181,39 @@ def _record(ind: Individual, cfg: GAConfig) -> CatalogRecord:
     )
 
 
-def run_ga(cfg: GAConfig, progress=None) -> list[CatalogRecord]:
+def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
     """Generational GA; returns the archive of valid rules sorted by fitness.
 
     Selection is seeded tournament (with elitism), variation is one-point
     crossover plus per-bit mutation. The archive deduplicates evaluated
     chromosomes; records of stability violators are kept internally but
     excluded from the returned catalog.
+
+    Each generation's chromosomes that are not archived yet are scored with
+    one call of `map_fn(job, chromosomes)`, which must return the results
+    in order; pass a process pool's `map` to score them in parallel. The
+    catalog does not depend on `map_fn`.
     """
     rng = np.random.default_rng(cfg.seed)
     archive: dict[bytes, Individual] = {}
     population = random_population(cfg, rng)
+    job = functools.partial(evaluate, cfg=cfg)
 
     for generation in range(cfg.generations):
+        new: dict[bytes, Individual] = {}
         for ind in population:
-            cached = archive.get(ind.key)
-            if cached is not None:
-                ind.me, ind.md = cached.me, cached.md
-                ind.fitness = cached.fitness
-                ind.stability_zero = cached.stability_zero
-                ind.generation_found = cached.generation_found
-            else:
-                ind.generation_found = generation
-                evaluate(ind, cfg)
-                archive[ind.key] = ind
+            if ind.key not in archive:
+                new.setdefault(ind.key, ind)
+        scored = map_fn(job, [ind.chromosome for ind in new.values()])
+        for ind, (me, md, fitness) in zip(new.values(), scored, strict=True):
+            ind.me, ind.md, ind.fitness = me, md, fitness
+            ind.generation_found = generation
+            archive[ind.key] = ind
+        for ind in population:
+            cached = archive[ind.key]
+            ind.me, ind.md = cached.me, cached.md
+            ind.fitness = cached.fitness
+            ind.generation_found = cached.generation_found
         population.sort(key=_rank_key)
         if progress is not None:
             progress(generation, population[0])
@@ -230,6 +237,6 @@ def run_ga(cfg: GAConfig, progress=None) -> list[CatalogRecord]:
                 )
         population = next_population
 
-    valid = [ind for ind in archive.values() if ind.stability_zero]
+    valid = [ind for ind in archive.values() if ind.md is not None]
     valid.sort(key=_rank_key)
     return [_record(ind, cfg) for ind in valid[: cfg.keep]]

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from lifelike import boolmin, simulator
+from lifelike import boolmin, measures, simulator
 from lifelike.cli import main
 from lifelike.rules import format_rule_spec, gol_truth_table
 
@@ -416,12 +419,28 @@ class TestImport:
         assert json.loads(lines[0])["rule"] == "94"
 
 
+def _fresh_interpreter(code: str, **popen) -> subprocess.Popen:
+    """Start `code` in a new Python process that imports lifelike from src/,
+    its stdout block-buffered on a pipe."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, **popen
+    )
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    with _fresh_interpreter(code) as proc:
+        out, err = proc.communicate(timeout=120)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
 def test_cli_runs_without_networkx():
     """networkx is a test oracle only: analyze and dynamic on the Game of
     Life, run in a fresh interpreter, never import it."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = """
 import contextlib, io, sys
 from lifelike.cli import main
@@ -432,10 +451,194 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["dynamic", spec, "--runs", "2", "--size", "12x12", "--steps", "5"]) == 0
 assert "networkx" not in sys.modules, "networkx was imported"
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a command that opens a pool imports multiprocessing, so the
+    start-up of every other command stays as it was."""
+    code = """
+import sys
+import lifelike.cli
+loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+assert not loaded, f"imported {loaded}"
+"""
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+SEARCH = (
+    "search", "--pop", "6", "--gens", "3", "--runs", "2",
+    "--size", "24x24", "--steps", "10", "--seed", "3",
+)
+
+
+@pytest.mark.parametrize("before", ["", "searching\n"])
+def test_search_on_a_pipe_prints_its_line_once(tmp_path, before):
+    """Two workers run whatever the machine; text the caller left in the
+    stdout buffer is flushed before the fork, so no worker repeats it."""
+    code = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from lifelike.cli import main
+sys.stdout.write({before!r})
+sys.exit(main({list(SEARCH) + ["--out", str(tmp_path / "c.jsonl")]!r}))
+"""
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith(before)
+    lines = proc.stdout[len(before):].splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["records"] == len((tmp_path / "c.jsonl").read_text().splitlines())
+
+
+def _cpus(*ids):
+    """Pretend this process may run on the CPUs `ids`."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(ids), create=True)
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not ended (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="this platform cannot fork"
+)
+
+
+class TestPool:
+    @needs_fork
+    def test_search_forks_and_leaves_no_child(self, capsys, tmp_path):
+        with _cpus(0, 1), mock.patch(
+            "multiprocessing.get_context", wraps=multiprocessing.get_context
+        ) as get_context:
+            code, out, err = run(capsys, *SEARCH, "--out", str(tmp_path / "c.jsonl"))
+        assert (code, err) == (0, "")
+        get_context.assert_called_once_with("fork")
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_worker_error_exit_1(self, capsys, tmp_path):
+        def fail(*args):
+            raise measures.MeasureError(f"raised in process {os.getpid()}")
+
+        out_path = tmp_path / "c.jsonl"
+        with _cpus(0, 1), mock.patch("lifelike.search.dynamic_measure", side_effect=fail):
+            code, out, err = run(capsys, *SEARCH, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: raised in process ") and err.count("\n") == 1
+        assert int(err.split()[-1]) != os.getpid()
+        assert multiprocessing.active_children() == []
+        assert not out_path.exists()
+
+    @needs_fork
+    def test_killed_worker_exit_1(self, capsys, tmp_path):
+        # As the out-of-memory killer would: the worker ends without a word.
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "scored in the parent"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        out_path = tmp_path / "c.jsonl"
+        with _cpus(0, 1), mock.patch("lifelike.search.dynamic_measure", side_effect=die):
+            code, out, err = run(capsys, *SEARCH, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: a worker process was killed before it finished\n"
+        assert multiprocessing.active_children() == []
+        assert not out_path.exists()
+
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read")
+    def test_workers_end_with_a_killed_parent(self, tmp_path):
+        # As the out-of-memory killer would: `ca` itself ends without a word.
+        argv = list(SEARCH) + ["--gens", "100000", "--out", str(tmp_path / "c.jsonl")]
+        code = f"""
+import multiprocessing, os
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from lifelike import search
+from lifelike.cli import main
+run_ga = search.run_ga
+
+def report_workers(cfg, progress=None, map_fn=map):
+    def progress(generation, best):
+        if generation == 0:
+            print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    return run_ga(cfg, progress, map_fn)
+
+search.run_ga = report_workers
+main({argv!r})
+"""
+        with _fresh_interpreter(code) as proc:
+            try:
+                workers = [int(pid) for pid in proc.stdout.readline().split()]
+            finally:
+                proc.kill()
+        deadline = time.monotonic() + 30
+        while (alive := [pid for pid in workers if _running(pid)]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        for pid in alive:  # leave nothing running when the test fails
+            os.kill(pid, signal.SIGKILL)
+        assert len(workers) == 2 and alive == []
+
+    @pytest.mark.parametrize("serial", ["one_cpu", "no_fork"])
+    def test_serial_search_is_identical(self, capsys, tmp_path, monkeypatch, serial):
+        def search_in(name):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            code, out, err = run(capsys, *SEARCH, "--out", "c.jsonl")
+            assert (code, err) == (0, "")
+            return out, (tmp_path / name / "c.jsonl").read_bytes()
+
+        with _cpus(0, 1):
+            pooled = search_in("pooled")
+        if serial == "one_cpu":
+            with _cpus(0), mock.patch("multiprocessing.get_context") as get_context:
+                assert search_in("serial") == pooled
+            get_context.assert_not_called()
+        else:
+            with _cpus(0, 1), mock.patch(
+                "multiprocessing.get_context", side_effect=ValueError("no fork")
+            ):
+                assert search_in("serial") == pooled
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @pytest.mark.parametrize("dynamic", [(), ("--with-dynamic",)], ids=["static", "dynamic"])
+    def test_import_is_identical_and_keeps_skip_order(self, capsys, tmp_path, dynamic):
+        rules_file = tmp_path / "rules.txt"
+        rules_file.write_text("94\nx\n110\n256\n30\n")
+        argv = (
+            "import", str(rules_file), "--arity", "3", *dynamic,
+            "--size", "32", "--runs", "2", "--steps", "5",
+        )
+        with _cpus(0, 1), mock.patch(
+            "multiprocessing.get_context", wraps=multiprocessing.get_context
+        ) as get_context:
+            pooled = run(capsys, *argv)
+        get_context.assert_called_once_with("fork")
+        with _cpus(0):
+            assert run(capsys, *argv) == pooled
+        code, out, err = pooled
+        assert code == 0
+        assert [json.loads(line)["rule"] for line in out.splitlines()] == ["94", "110", "30"]
+        assert [line.split(":")[1] for line in err.splitlines()] == ["2", "4"]
+        assert multiprocessing.active_children() == []
+
+    def test_import_of_one_rule_starts_no_process(self, capsys, tmp_path):
+        rules_file = tmp_path / "rules.txt"
+        rules_file.write_text("x\n110\n")
+        with _cpus(0, 1), mock.patch("multiprocessing.get_context") as get_context:
+            code, out, err = run(capsys, "import", str(rules_file), "--arity", "3")
+        get_context.assert_not_called()
+        assert (code, json.loads(out)["rule"]) == (0, "110")
 
 
 def _gol_table_file(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -7,16 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelike import boolmin
+from lifelike.cli import _cpu_map
 from lifelike.rules import gol_truth_table
 from lifelike.search import (
     CHROMOSOME_BITS,
     GAConfig,
-    Individual,
     evaluate,
     mutate,
     one_point_crossover,
     random_population,
     run_ga,
+)
+
+#: The configuration of acceptance criterion 9 (desk-scale search).
+DESK = GAConfig(
+    pop_size=8,
+    generations=30,
+    seed=2024,
+    dyn_runs=5,
+    dyn_dims=(50, 50),
+    dyn_max_steps=50,
 )
 
 SMALL = GAConfig(
@@ -111,27 +123,30 @@ class TestVariation:
 class TestEvaluate:
     def test_identity_like_rule_gets_worst_fitness(self):
         # A constant-1 rule is fully stable statically: hard constraint.
-        ind = Individual(np.ones(CHROMOSOME_BITS, dtype=np.uint8))
-        evaluate(ind, SMALL)
-        assert ind.fitness == math.inf
-        assert not ind.stability_zero
+        me, md, fitness = evaluate(np.ones(CHROMOSOME_BITS, dtype=np.uint8), SMALL)
+        assert me.stability > 0
+        assert fitness == math.inf
+        assert md is None
 
     def test_rule_minimized_once(self):
         # The Game of Life has no static stability, so both measures run.
-        ind = Individual(gol_truth_table().as_array())
         with mock.patch.object(boolmin, "minimal_form", wraps=boolmin.minimal_form) as spy:
-            evaluate(ind, SMALL)
-        assert ind.md is not None
+            _, md, _ = evaluate(gol_truth_table().as_array(), SMALL)
+        assert md is not None
         assert spy.call_count == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_static_stability_means_no_dynamic_stability(self, seed):
+        # The dynamic measure counts only codes of the M table, so a rule
+        # valid by its static measure needs no dynamic stability check.
+        me, md, fitness = evaluate(chromosome(np.random.default_rng(seed)), SMALL)
+        assert me.stability == 0
+        assert md.stability == 0 and math.isfinite(fitness)
 
     def test_reevaluation_is_reproducible(self):
         rng = np.random.default_rng(3)
-        ind1 = Individual(chromosome(rng))
-        ind2 = Individual(ind1.chromosome.copy())
-        evaluate(ind1, SMALL)
-        evaluate(ind2, SMALL)
-        assert ind1.fitness == ind2.fitness
-        assert ind1.me == ind2.me and ind1.md == ind2.md
+        c = chromosome(rng)
+        assert evaluate(c, SMALL) == evaluate(c.copy(), SMALL)
 
 
 class TestRunGA:
@@ -183,3 +198,48 @@ class TestRunGA:
         assert int(r.rule) >= 0
         assert r.metadata["seed"] == SMALL.seed
         assert r.metadata["generation_found"] >= 0
+
+
+@pytest.fixture
+def pool_map():
+    """The CLI's process-pool map with two workers, whatever the machine."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("this platform cannot fork")
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True):
+        with _cpu_map() as map_fn:
+            yield map_fn
+
+
+class TestMap:
+    # Without mutation, crossover of a converging population repeats
+    # chromosomes within and across generations.
+    DUPLICATES = GAConfig(
+        pop_size=8,
+        generations=6,
+        mutation_prob=0.0,
+        seed=5,
+        dyn_runs=2,
+        dyn_dims=(24, 24),
+        dyn_max_steps=15,
+    )
+
+    @pytest.mark.parametrize("cfg", [DESK, DUPLICATES], ids=["desk", "duplicates"])
+    def test_pool_catalog_is_byte_identical(self, cfg, pool_map):
+        serial = run_ga(cfg)
+        pooled = run_ga(cfg, map_fn=pool_map)
+        assert len(multiprocessing.active_children()) == 2
+        assert serial and [r.to_json() for r in pooled] == [r.to_json() for r in serial]
+        assert len({r.metadata["generation_found"] for r in serial}) > 1
+
+    def test_each_new_chromosome_scored_once_per_run(self):
+        calls = []
+
+        def recording_map(job, chromosomes):
+            calls.append([c.tobytes() for c in chromosomes])
+            return map(job, chromosomes)
+
+        run_ga(self.DUPLICATES, map_fn=recording_map)
+        scored = [key for batch in calls for key in batch]
+        assert len(calls) == self.DUPLICATES.generations
+        assert len(scored) == len(set(scored))
+        assert len(scored) < self.DUPLICATES.pop_size * self.DUPLICATES.generations
