@@ -226,7 +226,9 @@ def _cmd_static(args) -> int:
 def _cmd_dynamic(args) -> int:
     tt = rules.parse_rule_spec(args.rule, args.bit_order)
     params = _dynamic_params(args)
-    md = measures.dynamic_measure(heval.rule_profile(tt, args.cover_mode), params)
+    profile = heval.rule_profile(tt, args.cover_mode)
+    with _cpu_map() as map_fn:
+        md = measures.dynamic_measure(profile, params, map_fn)
     _emit(
         {
             "rule": rules.format_rule_spec(tt),
@@ -258,21 +260,22 @@ def _cmd_distance(args) -> int:
         "cover_mode": args.cover_mode,
     }
     features = []
-    for label, tt in (("a", tt_a), ("b", tt_b)):
-        profile = heval.rule_profile(tt, args.cover_mode)
-        me = measures.static_measure(profile)
-        md = measures.dynamic_measure(profile, params)
-        try:
-            corr = measures.correlation(me, md)
-        except measures.MeasureError:
-            corr = None
-        payload[label] = {
-            "rule": rules.format_rule_spec(tt),
-            "static": _vector_json(me),
-            "dynamic": _vector_json(md),
-            "correlation": corr,
-        }
-        features.append(measures.feature_vector(me, md))
+    with _cpu_map() as map_fn:
+        for label, tt in (("a", tt_a), ("b", tt_b)):
+            profile = heval.rule_profile(tt, args.cover_mode)
+            me = measures.static_measure(profile)
+            md = measures.dynamic_measure(profile, params, map_fn)
+            try:
+                corr = measures.correlation(me, md)
+            except measures.MeasureError:
+                corr = None
+            payload[label] = {
+                "rule": rules.format_rule_spec(tt),
+                "static": _vector_json(me),
+                "dynamic": _vector_json(md),
+                "correlation": corr,
+            }
+            features.append(measures.feature_vector(me, md))
     payload["distance"] = measures.distance(features[0], features[1])
     _emit(payload)
     return 0
@@ -413,12 +416,14 @@ def _cmd_validate_h(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    # Checked before any line is read: a rule number of arity A has 2^A bits.
+    # Checked before any line is read: a rule number of arity A has 2^A bits,
+    # and only elementary and Moore rules have a lattice to sample.
     if not 0 <= args.arity <= rules.MOORE_ARITY:
         raise ValueError(f"--arity must lie in [0, {rules.MOORE_ARITY}], got {args.arity}")
     params = None
     if args.with_dynamic:
         params = _dynamic_params(args)
+        measures.check_lattice(args.arity, params.dims)
     with _cpu_map() as map_fn:
         records = catalog.import_published_rules(
             args.path,

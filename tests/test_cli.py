@@ -418,6 +418,24 @@ class TestImport:
         assert len(lines) == 2
         assert json.loads(lines[0])["rule"] == "94"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--arity", "4"), "rules of arity 4 have no lattice to evolve"),
+            (("--arity", "3", "--size", "5x5"),
+             "elementary rules need 1D dims (N), Moore rules 2D dims (RxC)"),
+        ],
+        ids=["no_lattice", "2d_dims"],
+    )
+    def test_with_dynamic_checks_the_lattice_before_reading(self, capsys, tmp_path, argv, message):
+        # A malformed line that was read would print a skip diagnostic.
+        rules_file = tmp_path / "rules.txt"
+        rules_file.write_text("x\n1\n2\n")
+        with _cpus(0, 1), _no_fork() as get_context:
+            result = run(capsys, "import", str(rules_file), *argv, "--with-dynamic")
+        assert result == (1, "", f"error: {message}\n")
+        get_context.assert_not_called()
+
 
 def _fresh_interpreter(code: str, **popen) -> subprocess.Popen:
     """Start `code` in a new Python process that imports lifelike from src/,
@@ -508,6 +526,35 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def _die_in_worker():
+    """A side effect that ends the process it runs in without a word, as
+    the out-of-memory killer would, and fails in the test process."""
+    parent = os.getpid()
+
+    def die(*args):
+        assert os.getpid() != parent, "ran in the parent"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    return die
+
+
+def _no_fork():
+    """Fail, rather than hang on a mock context, if a pool would start."""
+    return mock.patch("multiprocessing.get_context", side_effect=AssertionError("a pool started"))
+
+
+def _pool_at_two_stacks():
+    """Hand every stack of a dynamic measure to the map as its own job."""
+    return mock.patch.object(measures, "_POOL_CELL_STEPS", 0)
+
+
+KILLED = "error: a worker process was killed before it finished\n"
+GOL = format_rule_spec(gol_truth_table())
+# About 6e7 cell-steps, above the measure's threshold: one job per stack.
+DYNAMIC_POOLED = ("dynamic", GOL, "--runs", "120", "--seed", "3")
+# Two stacks of eight 100x100 lattices, run as two jobs under _pool_at_two_stacks.
+DYNAMIC_TWO_STACKS = ("dynamic", GOL, "--runs", "16", "--steps", "5", "--seed", "3")
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="this platform cannot fork"
 )
@@ -540,20 +587,55 @@ class TestPool:
 
     @needs_fork
     def test_killed_worker_exit_1(self, capsys, tmp_path):
-        # As the out-of-memory killer would: the worker ends without a word.
-        parent = os.getpid()
-
-        def die(*args):
-            assert os.getpid() != parent, "scored in the parent"
-            os.kill(os.getpid(), signal.SIGKILL)
-
         out_path = tmp_path / "c.jsonl"
-        with _cpus(0, 1), mock.patch("lifelike.search.dynamic_measure", side_effect=die):
+        with _cpus(0, 1), mock.patch("lifelike.search.dynamic_measure", side_effect=_die_in_worker()):
             code, out, err = run(capsys, *SEARCH, "--out", str(out_path))
-        assert (code, out) == (1, "")
-        assert err == "error: a worker process was killed before it finished\n"
+        assert (code, out, err) == (1, "", KILLED)
         assert multiprocessing.active_children() == []
         assert not out_path.exists()
+
+    @needs_fork
+    def test_killed_dynamic_worker_exit_1(self, capsys):
+        with _cpus(0, 1), _pool_at_two_stacks(), mock.patch(
+            "lifelike.measures.random_lattice", side_effect=_die_in_worker()
+        ):
+            assert run(capsys, *DYNAMIC_TWO_STACKS) == (1, "", KILLED)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_dynamic_above_threshold_forks_once_and_is_identical(self, capsys):
+        with _cpus(0, 1), mock.patch(
+            "multiprocessing.get_context", wraps=multiprocessing.get_context
+        ) as get_context:
+            pooled = run(capsys, *DYNAMIC_POOLED)
+        get_context.assert_called_once_with("fork")
+        assert multiprocessing.active_children() == []
+        assert (pooled[0], pooled[2]) == (0, "")
+        with _cpus(0), _no_fork() as get_context:
+            assert run(capsys, *DYNAMIC_POOLED) == pooled
+        get_context.assert_not_called()
+
+    def test_dynamic_at_its_defaults_starts_no_process(self, capsys):
+        with _cpus(0, 1), _no_fork() as get_context:
+            code, out, err = run(capsys, "dynamic", GOL)
+        get_context.assert_not_called()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["runs"] == 30
+
+    @needs_fork
+    def test_distance_opens_one_pool_and_is_identical(self, capsys):
+        argv = ("distance", GOL, GOL, *DYNAMIC_TWO_STACKS[2:])
+        with _cpus(0, 1), _pool_at_two_stacks():
+            with mock.patch(
+                "multiprocessing.get_context", wraps=multiprocessing.get_context
+            ) as get_context:
+                pooled = run(capsys, *argv)
+            get_context.assert_called_once_with("fork")
+            with _cpus(0):
+                assert run(capsys, *argv) == pooled
+        assert (pooled[0], pooled[2]) == (0, "")
+        assert json.loads(pooled[1])["distance"] == 0.0
+        assert multiprocessing.active_children() == []
 
     @needs_fork
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read")
@@ -635,7 +717,7 @@ main({argv!r})
     def test_import_of_one_rule_starts_no_process(self, capsys, tmp_path):
         rules_file = tmp_path / "rules.txt"
         rules_file.write_text("x\n110\n")
-        with _cpus(0, 1), mock.patch("multiprocessing.get_context") as get_context:
+        with _cpus(0, 1), _no_fork() as get_context:
             code, out, err = run(capsys, "import", str(rules_file), "--arity", "3")
         get_context.assert_not_called()
         assert (code, json.loads(out)["rule"]) == (0, "110")

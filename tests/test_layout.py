@@ -1,8 +1,10 @@
-"""Layout rule of the package: no private cross-module imports.
+"""Layout rules of the package.
 
-A `lifelike` module or a script uses only the public names of another
-`lifelike` module: `from .<module> import _name`, `from lifelike.<module>
-import _name` and `<module>._name` fail here.
+No private cross-module imports: a `lifelike` module or a script uses only
+the public names of another `lifelike` module, so `from .<module> import
+_name`, `from lifelike.<module> import _name` and `<module>._name` fail
+here. One process pool: no module but `cli.py` imports `multiprocessing`
+or `concurrent`, so every pool opens in `cli._cpu_map`.
 """
 import ast
 from pathlib import Path
@@ -74,3 +76,51 @@ def test_checker_flags_each_form():
         "m.py:5 reads boolmin._term_key",
         "m.py:6 reads r._table",
     ]
+
+
+POOL_PACKAGES = ("multiprocessing", "concurrent")
+
+
+def pool_imports(source: str, name: str) -> list[str]:
+    """Imports of a process-pool package anywhere in the file."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{name}:{node.lineno} imports {module}"
+            for module in modules
+            if module.split(".")[0] in POOL_PACKAGES
+        ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"],
+    ids=lambda path: path.name,
+)
+def test_only_cli_imports_a_process_pool(path):
+    assert pool_imports(path.read_text(), path.name) == []
+
+
+def test_pool_checker_flags_each_form():
+    source = (
+        "import multiprocessing\n"
+        "def f():\n"
+        "    from concurrent import futures\n"
+        "    import concurrent.futures.process as p, os\n"
+        "from multiprocessing.pool import Pool\n"
+        "import multiprocessing_x\n"
+        "from . import concurrent\n"
+    )
+    assert sorted(pool_imports(source, "m.py")) == [
+        "m.py:1 imports multiprocessing",
+        "m.py:3 imports concurrent",
+        "m.py:4 imports concurrent.futures.process",
+        "m.py:5 imports multiprocessing.pool",
+    ]
+    assert pool_imports((PACKAGE / "cli.py").read_text(), "cli.py") != []

@@ -183,14 +183,85 @@ GOLDEN_DYNAMIC = [
 ]
 
 
+GOLDEN_PARAMS = [
+    pytest.param(rule, kwargs, expected, id=name) for name, rule, kwargs, expected in GOLDEN_DYNAMIC
+]
+
+
+def _reversed_map(fn, jobs):
+    """Runs the jobs last first and returns their results in order."""
+    return reversed([fn(job) for job in reversed(list(jobs))])
+
+
+#: (_POOL_CELL_STEPS, _STACK_CELLS) of each job layout; every golden case
+#: lies below the default _POOL_CELL_STEPS.
+LAYOUTS = {
+    "one_job": (measures._POOL_CELL_STEPS, measures._STACK_CELLS),
+    "job_per_stack": (0, measures._STACK_CELLS),
+    "job_per_run": (0, 1),
+}
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _batches(profile, params):
+    """The batches that dynamic_measure hands its map, none of them run."""
+    seen = []
+
+    def record(fn, batches):
+        seen.extend(batches)
+        raise _Recorded
+
+    with pytest.raises(_Recorded):
+        dynamic_measure(profile, params, record)
+    return seen
+
+
 class TestDynamicGolden:
-    @pytest.mark.parametrize(
-        "rule,kwargs,expected",
-        [pytest.param(rule, kwargs, expected, id=name) for name, rule, kwargs, expected in GOLDEN_DYNAMIC],
-    )
+    @pytest.mark.parametrize("rule,kwargs,expected", GOLDEN_PARAMS)
     def test_reproduces_recorded_vector(self, rule, kwargs, expected):
         tt = gol_truth_table() if rule == "gol" else elementary(110)
         assert dynamic_measure(rule_profile(tt), DynamicParams(**kwargs)).as_tuple() == expected
+
+    @pytest.mark.parametrize("map_fn", [map, _reversed_map], ids=["map", "reversed"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("rule,kwargs,expected", GOLDEN_PARAMS)
+    def test_any_map_and_layout_reproduces_recorded_vector(
+        self, rule, kwargs, expected, layout, map_fn, monkeypatch
+    ):
+        pool_cell_steps, stack_cells = LAYOUTS[layout]
+        monkeypatch.setattr(measures, "_POOL_CELL_STEPS", pool_cell_steps)
+        monkeypatch.setattr(measures, "_STACK_CELLS", stack_cells)
+        tt = gol_truth_table() if rule == "gol" else elementary(110)
+        md = dynamic_measure(rule_profile(tt), DynamicParams(**kwargs), map_fn)
+        assert md.as_tuple() == expected
+
+    @pytest.mark.parametrize("runs", [30, 300])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_job_layout(self, runs, offset, monkeypatch):
+        # One job below the threshold; at or above it one job per stack,
+        # longest first, a stack evolving up to its last run's k.
+        params = DynamicParams(runs=runs, seed=0)
+        ks = np.array([measures._run_stream(params, run)[1] for run in range(runs)])
+        cell_steps = int(ks.sum()) * 100 * 100
+        monkeypatch.setattr(measures, "_POOL_CELL_STEPS", cell_steps + offset)
+        batches = _batches(rule_profile(gol_truth_table()), params)
+        stacks = [stack for batch in batches for stack in batch]
+        assert sorted(np.concatenate(stacks).tolist()) == list(range(runs))
+        assert all(len(stack) <= 8 for stack in stacks)
+        assert len(stacks) == -(-runs // 8)
+        assert all(list(ks[stack]) == sorted(ks[stack]) for stack in stacks)
+        lasts = [ks[stack[-1]] for stack in stacks]
+        assert lasts == sorted(lasts, reverse=True)
+        assert len(batches) == (1 if offset else len(stacks))
+
+    def test_threshold_splits_paper_measures_by_size(self):
+        gol = rule_profile(gol_truth_table())
+        assert len(_batches(gol, DynamicParams(runs=30))) == 1
+        assert len(_batches(gol, DynamicParams(runs=60))) == 1
+        assert len(_batches(gol, DynamicParams(runs=300))) == 38
 
 
 class TestDistance:
