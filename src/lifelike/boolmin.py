@@ -49,38 +49,22 @@ class CoverBudgetExceeded(RuntimeError):
     """Exact cover search exceeded its work budget."""
 
 
-#: A product term (mask, value, xors): a cube over index bits and a sorted
-#: tuple of (a, b) variable pairs, one factor a ^ b each.
+#: A cube (mask, value) over neighborhood-index bit positions: mask has a
+#: 1 on every cared-about bit, value fixes those bits and is 0 elsewhere.
+#: Variable j of an arity-m rule sits at bit position m-1-j (matching
+#: neighborhood_index), and mask.bit_count() is its literal count. The
+#: cube_key of a cube lists one digit per variable: its fixed bit, or 2
+#: where it is free. Primes and covers come in cube_key order.
+Cube = tuple[int, int]
+
+#: A product term (mask, value, xors): a cube and a sorted tuple of
+#: (a, b) variable pairs, one factor a ^ b each.
 Term = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 # --- implicants -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Implicant:
-    """A cube over neighborhood-index bit positions.
-
-    `mask` has a 1 on every cared-about bit; `value` fixes those bits and
-    is 0 on don't-care positions. Variable j of an arity-m rule sits at
-    bit position m-1-j (matching neighborhood_index).
-
-    The cube_key of a cube lists one digit per variable: its fixed bit,
-    or 2 where it is free. Primes and covers come in cube_key order.
-    """
-
-    mask: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value & ~self.mask:
-            raise ValueError("value bits must be zero on don't-care positions")
-
-    @property
-    def literal_count(self) -> int:
-        return self.mask.bit_count()
-
-
-def prime_implicants(tt: TruthTable) -> tuple[Implicant, ...]:
+def prime_implicants(tt: TruthTable) -> tuple[Cube, ...]:
     """Complete prime implicant set of the on-set, read off the cube lattice.
 
     Axis j of the (3,)*m array is variable j: digit 0 or 1 fixes x_j, digit
@@ -102,14 +86,14 @@ def prime_implicants(tt: TruthTable) -> tuple[Implicant, ...]:
     digits = np.argwhere(prime)  # one row per prime, column j for variable j
     bits = 1 << np.arange(m - 1, -1, -1)
     masks, values = ((digits < 2) @ bits).tolist(), ((digits == 1) @ bits).tolist()
-    return tuple(map(Implicant, masks, values))
+    return tuple(zip(masks, values))
 
 
 def minimal_cover(
-    primes: Sequence[Implicant],
+    primes: Sequence[Cube],
     tt: TruthTable,
     mode: str = "exact",
-) -> tuple[Implicant, ...]:
+) -> tuple[Cube, ...]:
     """Select a cover of tt's on-set from its prime implicants, which
     come in cube_key order, as prime_implicants returns them.
 
@@ -128,8 +112,7 @@ def minimal_cover(
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown cover mode {mode!r}")
-    masks = np.array([p.mask for p in primes], dtype=np.uint16)
-    values = np.array([p.value for p in primes], dtype=np.uint16)
+    masks, values = np.array(primes, dtype=np.uint16).reshape(-1, 2).T
     onset = tt.as_array().astype(bool)
     minterms = np.arange(1 << tt.arity, dtype=np.uint16)
     coverage = ((minterms & masks[:, None]) == values[:, None]) & onset
@@ -171,7 +154,7 @@ def minimal_cover(
         def cover_key(term: int) -> tuple:
             # Ascending prime indices compare as the cube_key lists do.
             indices = _bit_indices(term)
-            return (len(indices), sum(primes[i].literal_count for i in indices), indices)
+            return (len(indices), sum(primes[i][0].bit_count() for i in indices), indices)
 
         chosen.update(_bit_indices(min(products, key=cover_key)))
     return tuple(primes[i] for i in sorted(chosen))
@@ -317,16 +300,16 @@ def _product_key(term: Term, arity: int) -> tuple:
     return (1 if xors else 0, tuple(seq), tags[0])
 
 
-def xor_extract(sop: Sequence[Implicant], arity: int) -> tuple[Term, ...]:
+def xor_extract(sop: Sequence[Cube], arity: int) -> tuple[Term, ...]:
     """Rewrite a minimal SOP cover into mixed-operator product terms.
 
-    Each cube becomes a (mask, value, xors) term: the Implicant's cube
+    Each (mask, value) cube becomes a (mask, value, xors) term: the cube
     and a sorted tuple of (a, b) variable pairs, one factor a ^ b each.
     Pairwise rewrites (a & !b) | (!a & b) -> a ^ b over complementary
     literal pairs run to a fixpoint. The terms come back sorted by
     _product_key, duplicates removed.
     """
-    terms = _merge_complementary([(c.mask, c.value, ()) for c in sop], arity)
+    terms = _merge_complementary([(mask, value, ()) for mask, value in sop], arity)
     return tuple(dict.fromkeys(sorted(terms, key=lambda t: _product_key(t, arity))))
 
 

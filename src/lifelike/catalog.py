@@ -23,13 +23,17 @@ class CatalogError(ValueError):
     pass
 
 
-def _check_vector(name: str, vec) -> list[float] | None:
-    if vec is None:
-        return None
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_vector(name: str, vec) -> list[float]:
+    if not isinstance(vec, (list, tuple)) or not all(map(_is_number, vec)):
+        raise CatalogError(f"{name} must be a list of 4 numbers, got {vec!r}")
     vec = [float(v) for v in vec]
     if len(vec) != 4:
         raise CatalogError(f"{name} must have 4 components, got {len(vec)}")
-    if abs(sum(vec) - 100.0) > _VECTOR_TOLERANCE:
+    if not abs(sum(vec) - 100.0) <= _VECTOR_TOLERANCE:  # NaN fails too
         raise CatalogError(f"{name} must sum to 100, got {sum(vec)}")
     return vec
 
@@ -47,12 +51,23 @@ class CatalogRecord:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.rule, str) and self.rule.isascii() and self.rule.isdigit()):
+            raise CatalogError(f"rule must be a decimal string, got {self.rule!r}")
+        if type(self.arity) is not int:
+            raise CatalogError(f"arity must be an integer, got {self.arity!r}")
         try:
             decode_rule_number(RuleNumber(int(self.rule), self.arity))
-        except (ValueError, RuleError) as exc:
+        except ValueError as exc:  # RuleError, or too many digits for int
             raise CatalogError(f"invalid rule number for arity {self.arity}: {exc}")
         self.me = _check_vector("me", self.me)
-        self.md = _check_vector("md", self.md)
+        if self.md is not None:
+            self.md = _check_vector("md", self.md)
+        for name in ("fitness", "correlation"):
+            value = getattr(self, name)
+            if value is not None and not _is_number(value):
+                raise CatalogError(f"{name} must be a number or null, got {value!r}")
+        if not isinstance(self.metadata, dict):
+            raise CatalogError(f"metadata must be an object, got {self.metadata!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

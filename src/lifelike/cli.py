@@ -65,8 +65,8 @@ def _cover_arg(
 _GREEDY_AUTO_HELP = "prime-implicant cover strategy; auto runs as greedy"
 
 
-def _dynamic_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--runs", type=int, default=30, help="random evolutions to average")
+def _dynamic_args(parser: argparse.ArgumentParser, runs: int = 30) -> None:
+    parser.add_argument("--runs", type=int, default=runs, help="random evolutions to average")
     parser.add_argument("--size", default="100x100", help="lattice size, RxC (or N for 1D)")
     parser.add_argument("--steps", type=int, default=100, help="maximum sampling step")
     parser.add_argument("--density", type=float, default=0.5, help="initial live-cell density")
@@ -88,6 +88,16 @@ def _dynamic_params(args) -> measures.DynamicParams:
         density=args.density,
         seed=_check_seed(args.seed),
     )
+
+
+def _params_json(params: measures.DynamicParams) -> dict:
+    return {
+        "runs": params.runs,
+        "size": list(params.dims) if not isinstance(params.dims, int) else params.dims,
+        "max_steps": params.max_steps,
+        "density": params.density,
+        "seed": params.seed,
+    }
 
 
 def _vector_json(v: measures.BehaviorVector) -> dict:
@@ -233,13 +243,7 @@ def _cmd_dynamic(args) -> int:
         {
             "rule": rules.format_rule_spec(tt),
             "cover_mode": args.cover_mode,
-            "params": {
-                "runs": params.runs,
-                "size": list(params.dims) if not isinstance(params.dims, int) else params.dims,
-                "max_steps": params.max_steps,
-                "density": params.density,
-                "seed": params.seed,
-            },
+            "params": _params_json(params),
             "dynamic": _vector_json(md),
         }
     )
@@ -250,15 +254,7 @@ def _cmd_distance(args) -> int:
     tt_a = rules.parse_rule_spec(args.rule, args.bit_order)
     tt_b = rules.parse_rule_spec(args.rule_b, args.bit_order)
     params = _dynamic_params(args)
-    payload: dict = {
-        "params": {
-            "runs": params.runs,
-            "max_steps": params.max_steps,
-            "density": params.density,
-            "seed": params.seed,
-        },
-        "cover_mode": args.cover_mode,
-    }
+    payload: dict = {"params": _params_json(params), "cover_mode": args.cover_mode}
     features = []
     with _cpu_map() as map_fn:
         for label, tt in (("a", tt_a), ("b", tt_b)):
@@ -371,7 +367,7 @@ def _cmd_search(args) -> int:
     if out.is_dir():
         raise ValueError(f"catalog path {args.out!r} is a directory")
 
-    def progress(generation: int, best: search.Individual) -> None:
+    def progress(generation: int, best: catalog.CatalogRecord) -> None:
         print(
             f"generation {generation}: best fitness {best.fitness:.4f}",
             file=sys.stderr,
@@ -490,11 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pop", type=int, default=20)
     p.add_argument("--gens", type=int, default=5000)
     p.add_argument("--mutation", type=float, default=0.01)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--size", default="100x100")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    _dynamic_args(p, runs=10)
     p.add_argument("--keep", type=int, default=1000)
     p.add_argument("--target", help="JSON array of 8 target components")
     p.add_argument("--out", required=True, help="catalog path (JSON lines)")

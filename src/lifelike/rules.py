@@ -67,6 +67,8 @@ class RuleNumber:
     arity: int
 
     def __post_init__(self) -> None:
+        if not 0 <= self.arity <= MOORE_ARITY:  # before 2^(2^arity) is computed
+            raise RuleError(f"unsupported arity {self.arity}")
         if self.value < 0 or self.value >= 1 << (1 << self.arity):
             raise RuleError(
                 f"rule number out of range for arity {self.arity}: {self.value}"

@@ -23,6 +23,7 @@ from .measures import (
     BehaviorVector,
     DynamicParams,
     MeasureError,
+    check_lattice,
     correlation,
     distance,
     dynamic_measure,
@@ -35,19 +36,6 @@ CHROMOSOME_BITS = 1 << MOORE_ARITY
 
 ELITISM = 2  # best individuals copied unchanged into the next generation
 TOURNAMENT = 3  # individuals drawn per tournament selection
-
-
-@dataclass
-class Individual:
-    chromosome: np.ndarray  # 512 uint8 bits
-    me: BehaviorVector | None = None
-    md: BehaviorVector | None = None
-    fitness: float = math.inf
-    generation_found: int = 0
-
-    @property
-    def key(self) -> bytes:
-        return self.chromosome.tobytes()
 
 
 @dataclass(frozen=True)
@@ -74,6 +62,7 @@ class GAConfig:
         if not 0 <= self.seed < 2**63:
             raise ValueError("seed must lie in [0, 2**63)")
         self.dynamic_params(0)  # checks runs, dims, steps and density
+        check_lattice(MOORE_ARITY, self.dyn_dims)  # chromosomes are Moore rules
         if self.keep < 0:
             raise ValueError("keep must be >= 0")
         if len(self.target) != 8:
@@ -102,11 +91,8 @@ def _dynamic_seed(cfg: GAConfig, chromosome: np.ndarray) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def random_population(cfg: GAConfig, rng: np.random.Generator) -> list[Individual]:
-    return [
-        Individual(rng.integers(0, 2, size=CHROMOSOME_BITS, dtype=np.uint8))
-        for _ in range(cfg.pop_size)
-    ]
+def random_population(cfg: GAConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    return [rng.integers(0, 2, size=CHROMOSOME_BITS, dtype=np.uint8) for _ in range(cfg.pop_size)]
 
 
 def evaluate(
@@ -144,33 +130,30 @@ def mutate(chromosome: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     return np.where(flips, 1 - chromosome, chromosome).astype(np.uint8)
 
 
-def _rank_key(ind: Individual) -> tuple[float, bytes]:
-    return (ind.fitness, ind.key)
-
-
-def _tournament(population: list[Individual], rng: np.random.Generator) -> Individual:
-    picks = rng.integers(0, len(population), size=TOURNAMENT)
-    return min((population[i] for i in picks), key=_rank_key)
-
-
-def _record(ind: Individual, cfg: GAConfig) -> CatalogRecord:
-    rule = encode_rule_number(_truth_table(ind.chromosome))
+def _record(
+    chromosome: np.ndarray,
+    scored: tuple[BehaviorVector, BehaviorVector | None, float],
+    generation: int,
+    cfg: GAConfig,
+) -> CatalogRecord:
+    """The catalog record of a chromosome first scored in `generation`."""
+    me, md, fitness = scored
     corr: float | None
     try:
-        corr = correlation(ind.me, ind.md) if ind.md is not None else None
+        corr = correlation(me, md) if md is not None else None
     except MeasureError:
         corr = None
     return CatalogRecord(
-        rule=str(rule.value),
+        rule=str(encode_rule_number(_truth_table(chromosome)).value),
         arity=MOORE_ARITY,
-        me=list(ind.me.as_tuple()),
-        md=list(ind.md.as_tuple()) if ind.md is not None else None,
-        fitness=ind.fitness,
+        me=list(me.as_tuple()),
+        md=list(md.as_tuple()) if md is not None else None,
+        fitness=fitness,
         correlation=corr,
         metadata={
             "seed": cfg.seed,
             "cover_mode": cfg.cover_mode,
-            "generation_found": ind.generation_found,
+            "generation_found": generation,
             "dynamic": {
                 "runs": cfg.dyn_runs,
                 "dims": list(cfg.dyn_dims),
@@ -185,9 +168,11 @@ def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
     """Generational GA; returns the archive of valid rules sorted by fitness.
 
     Selection is seeded tournament (with elitism), variation is one-point
-    crossover plus per-bit mutation. The archive deduplicates evaluated
-    chromosomes; records of stability violators are kept internally but
-    excluded from the returned catalog.
+    crossover plus per-bit mutation. The archive holds one catalog record
+    per distinct chromosome, made when it is first scored, and ranks
+    chromosomes by (fitness, chromosome bytes); records of stability
+    violators stay in the archive but not in the returned catalog.
+    `progress(generation, best)` gets each generation's best record.
 
     Each generation's chromosomes that are not archived yet are scored with
     one call of `map_fn(job, chromosomes)`, which must return the results
@@ -195,48 +180,35 @@ def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
     catalog does not depend on `map_fn`.
     """
     rng = np.random.default_rng(cfg.seed)
-    archive: dict[bytes, Individual] = {}
+    archive: dict[bytes, CatalogRecord] = {}
     population = random_population(cfg, rng)
     job = functools.partial(evaluate, cfg=cfg)
 
+    def rank(key: bytes) -> tuple[float, bytes]:
+        return (archive[key].fitness, key)
+
     for generation in range(cfg.generations):
-        new: dict[bytes, Individual] = {}
-        for ind in population:
-            if ind.key not in archive:
-                new.setdefault(ind.key, ind)
-        scored = map_fn(job, [ind.chromosome for ind in new.values()])
-        for ind, (me, md, fitness) in zip(new.values(), scored, strict=True):
-            ind.me, ind.md, ind.fitness = me, md, fitness
-            ind.generation_found = generation
-            archive[ind.key] = ind
-        for ind in population:
-            cached = archive[ind.key]
-            ind.me, ind.md = cached.me, cached.md
-            ind.fitness = cached.fitness
-            ind.generation_found = cached.generation_found
-        population.sort(key=_rank_key)
+        new = {c.tobytes(): c for c in population if c.tobytes() not in archive}
+        scored = map_fn(job, list(new.values()))
+        for (key, chromosome), result in zip(new.items(), scored, strict=True):
+            archive[key] = _record(chromosome, result, generation, cfg)
+        population.sort(key=lambda chromosome: rank(chromosome.tobytes()))
         if progress is not None:
-            progress(generation, population[0])
+            progress(generation, archive[population[0].tobytes()])
         if generation == cfg.generations - 1:
             break
-        next_population = [
-            Individual(elite.chromosome.copy())
-            for elite in population[:ELITISM]
-        ]
+        # Chromosomes are never changed in place, so elites need no copy.
+        next_population = population[:ELITISM]
         while len(next_population) < cfg.pop_size:
-            parent_a = _tournament(population, rng)
-            parent_b = _tournament(population, rng)
+            # A tournament's winner is its best-ranked pick, and the
+            # population is sorted by rank: its smallest index.
+            parent_a = population[rng.integers(0, len(population), size=TOURNAMENT).min()]
+            parent_b = population[rng.integers(0, len(population), size=TOURNAMENT).min()]
             point = int(rng.integers(1, CHROMOSOME_BITS))
-            child_a, child_b = one_point_crossover(
-                parent_a.chromosome, parent_b.chromosome, point
-            )
-            next_population.append(Individual(mutate(child_a, cfg.mutation_prob, rng)))
-            if len(next_population) < cfg.pop_size:
-                next_population.append(
-                    Individual(mutate(child_b, cfg.mutation_prob, rng))
-                )
+            for child in one_point_crossover(parent_a, parent_b, point):
+                if len(next_population) < cfg.pop_size:
+                    next_population.append(mutate(child, cfg.mutation_prob, rng))
         population = next_population
 
-    valid = [ind for ind in archive.values() if ind.md is not None]
-    valid.sort(key=_rank_key)
-    return [_record(ind, cfg) for ind in valid[: cfg.keep]]
+    valid = sorted((key for key, record in archive.items() if record.md is not None), key=rank)
+    return [archive[key] for key in valid[: cfg.keep]]

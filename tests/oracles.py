@@ -107,17 +107,19 @@ def eval_m_naive(form: boolmin.MinimalForm, cells, tables: HTables) -> int:
     return int(tables.not_table[acc]) if form.negated else acc
 
 
-def cube_key(imp: boolmin.Implicant, arity: int) -> tuple[int, ...]:
-    """Per-variable digits 0/1/2 of a cube, don't-care sorting last."""
+def cube_key(cube: boolmin.Cube, arity: int) -> tuple[int, ...]:
+    """Per-variable digits 0/1/2 of a (mask, value) cube, don't-care sorting last."""
+    mask, value = cube
     digits = []
     for j in range(arity):
         bit = 1 << (arity - 1 - j)
-        digits.append((imp.value >> (arity - 1 - j)) & 1 if imp.mask & bit else 2)
+        digits.append((value >> (arity - 1 - j)) & 1 if mask & bit else 2)
     return tuple(digits)
 
 
-def covers(imp: boolmin.Implicant, minterm: int) -> bool:
-    return (minterm & imp.mask) == imp.value
+def covers(cube: boolmin.Cube, minterm: int) -> bool:
+    mask, value = cube
+    return (minterm & mask) == value
 
 
 def random_tables(rng: np.random.Generator) -> HTables:
@@ -146,7 +148,7 @@ def parity_split_table(seed: int) -> TruthTable:
     return TruthTable(9, tuple(int(b) for b in np.concatenate([g, ~g])))
 
 
-def petrick_naive(primes, tt: TruthTable) -> tuple[boolmin.Implicant, ...]:
+def petrick_naive(primes, tt: TruthTable) -> tuple[boolmin.Cube, ...]:
     """Minimum cover of tt's on-set by Petrick's method over frozenset
     products, each expansion pruned by an O(n^2) absorption scan.
 
@@ -165,7 +167,7 @@ def petrick_naive(primes, tt: TruthTable) -> tuple[boolmin.Implicant, ...]:
         cubes = [ordered[i] for i in sorted(term)]
         return (
             len(cubes),
-            sum(c.literal_count for c in cubes),
+            sum(mask.bit_count() for mask, _ in cubes),
             tuple(cube_key(c, arity) for c in cubes),
         )
 
@@ -209,13 +211,12 @@ def _absorb(terms: set[frozenset[int]]) -> set[frozenset[int]]:
     return kept
 
 
-def prime_implicants_qm(tt: TruthTable) -> frozenset[boolmin.Implicant]:
+def prime_implicants_qm(tt: TruthTable) -> frozenset[boolmin.Cube]:
     """Complete prime implicant set of the on-set (Quine-McCluskey).
 
     The reference for boolmin.prime_implicants: cubes merge level by level,
     and a cube that merges with no same-mask neighbour is prime.
     """
-    Implicant = boolmin.Implicant
     onset = tt.onset
     if not onset:
         raise ValueError("constant-0 table has no implicants")
@@ -223,7 +224,7 @@ def prime_implicants_qm(tt: TruthTable) -> frozenset[boolmin.Implicant]:
     # level maps cube mask -> set of values; merge same-mask cubes whose
     # values differ in exactly one cared bit.
     level: dict[int, set[int]] = {full: set(onset)}
-    primes: set[Implicant] = set()
+    primes: set[boolmin.Cube] = set()
     while level:
         nxt: dict[int, set[int]] = {}
         merged: dict[int, set[int]] = {mask: set() for mask in level}
@@ -238,6 +239,6 @@ def prime_implicants_qm(tt: TruthTable) -> frozenset[boolmin.Implicant]:
                         nxt.setdefault(mask & ~bit, set()).add(value)
         for mask, values in level.items():
             for value in values - merged[mask]:
-                primes.add(Implicant(mask, value))
+                primes.add((mask, value))
         level = nxt
     return frozenset(primes)

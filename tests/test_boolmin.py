@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lifelike.boolmin import (
     CoverBudgetExceeded,
-    Implicant,
     MinimalForm,
     _product_key,
     minimal_cover,
@@ -70,18 +69,16 @@ class TestPrimeImplicants:
     def test_rule_90_primes(self):
         # f = p ^ r: minterm pairs merge along q into !p&r and p&!r.
         primes = prime_implicants(elementary(90))
-        assert set(primes) == frozenset(
-            {Implicant(mask=0b101, value=0b001), Implicant(mask=0b101, value=0b100)}
-        )
+        assert set(primes) == {(0b101, 0b001), (0b101, 0b100)}
 
     def test_constant_one(self):
         tt = TruthTable(2, (1, 1, 1, 1))
         primes = prime_implicants(tt)
         assert len(primes) == 1
-        assert next(iter(primes)).mask == 0
+        assert primes[0][0] == 0  # the mask: every variable free
 
     def test_arity_zero(self):
-        assert set(prime_implicants(TruthTable(0, (1,)))) == {Implicant(0, 0)}
+        assert prime_implicants(TruthTable(0, (1,))) == ((0, 0),)
 
     def test_constant_zero_raises(self):
         with pytest.raises(ValueError, match="constant-0"):
@@ -132,7 +129,7 @@ class TestMinimalCover:
     def test_primes_missing_an_essential_prime_raise(self, mode):
         # Rule 94's on-set is {1, 2, 3, 4, 6}; only !p & r covers minterm 1.
         tt = elementary(94)
-        primes = [p for p in prime_implicants(tt) if p != Implicant(mask=0b101, value=0b001)]
+        primes = [p for p in prime_implicants(tt) if p != (0b101, 0b001)]
         with pytest.raises(ValueError, match="do not cover"):
             minimal_cover(list(primes), tt, mode)
 
@@ -166,20 +163,13 @@ class TestMinimalCover:
 class TestImplicant:
     def test_covers(self):
         # Cube 1-0 over 3 vars: p fixed 1, q free, r fixed 0.
-        imp = Implicant(mask=0b101, value=0b100)
-        assert covers(imp, 0b100) and covers(imp, 0b110)
-        assert not covers(imp, 0b101)
-
-    def test_literal_count(self):
-        assert Implicant(mask=0b101, value=0b100).literal_count == 2
-
-    def test_value_outside_mask_rejected(self):
-        with pytest.raises(ValueError):
-            Implicant(mask=0b001, value=0b010)
+        cube = (0b101, 0b100)
+        assert covers(cube, 0b100) and covers(cube, 0b110)
+        assert not covers(cube, 0b101)
 
     def test_to_expr(self):
-        imp = Implicant(mask=0b101, value=0b100)
-        assert MinimalForm(3, (), False, ((imp.mask, imp.value, ()),), "exact").format() == "p & !r"
+        mask, value = 0b101, 0b100
+        assert MinimalForm(3, (), False, ((mask, value, ()),), "exact").format() == "p & !r"
 
 
 class TestXorExtract:
@@ -348,7 +338,7 @@ class TestMinimize:
             return
         primes = prime_implicants(tt)
         cover = minimal_cover(list(primes), tt, "exact")
-        plain = sum(c.literal_count for c in cover)
+        plain = sum(mask.bit_count() for mask, _ in cover)
         assert minimal_form(tt, "exact").leaf_count <= plain
 
     def test_deterministic(self):

@@ -1,4 +1,6 @@
 import io
+import json
+import re
 
 import pytest
 
@@ -64,6 +66,39 @@ class TestCatalogRecord:
     def test_malformed_json_rejected(self):
         with pytest.raises(CatalogError):
             CatalogRecord.from_json("not json")
+
+
+#: A valid line's fields; each case of TestMalformedFields overrides one.
+VALID_FIELDS = {"rule": "94", "arity": 3, "me": [0.0, 12.5, 62.5, 25.0]}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"rule": 94},
+            {"rule": "-94"},
+            {"rule": "9_4"},
+            {"arity": "9"},
+            {"rule": "1", "arity": True},
+            {"arity": 99},
+            {"me": None},
+            {"me": "abcd"},
+            {"me": [True, 0.0, 0.0, 99.0]},
+            {"me": [float("nan"), 0.0, 0.0, 100.0]},
+            {"md": 5},
+            {"md": ["0", "0", "0", "100"]},
+            {"fitness": "1.5"},
+            {"correlation": [1.0]},
+            {"metadata": []},
+        ],
+        ids=repr,
+    )
+    def test_read_catalog_names_the_line(self, tmp_path, field):
+        path = tmp_path / "catalog.jsonl"
+        path.write_text(record().to_json() + "\n" + json.dumps({**VALID_FIELDS, **field}) + "\n")
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}:2: "):
+            read_catalog(path)
 
 
 class TestCatalogIO:

@@ -196,6 +196,14 @@ class TestDistance:
         payload = json.loads(out)
         assert payload["distance"] == 0.0
 
+    def test_params_as_dynamic_reports_them(self, capsys):
+        sampling = ("--runs", "2", "--size", "32", "--steps", "8", "--seed", "4")
+        _, out, _ = run(capsys, "distance", "elem:110", "elem:30", *sampling)
+        _, dynamic_out, _ = run(capsys, "dynamic", "elem:110", *sampling)
+        params = json.loads(out)["params"]
+        assert params == json.loads(dynamic_out)["params"]
+        assert params["size"] == 32
+
 
 # sha256 of stdout and of each written file, in stdout's `files` order,
 # recorded from the implementation that kept the whole history before
@@ -394,6 +402,17 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--seed", "-1", "--out", str(out_path))
         assert code == 1
         assert out_path.read_text() == "kept\n"
+
+    def test_1d_size_exit_1_before_a_pool(self, capsys, tmp_path):
+        out_path = tmp_path / "catalog.jsonl"
+        with _cpus(0, 1), _no_fork() as get_context:
+            code, out, err = run(
+                capsys, "search", "--pop", "2", "--gens", "1", "--size", "30", "--out", str(out_path)
+            )
+        get_context.assert_not_called()
+        assert (code, out) == (1, "")
+        assert err == "error: elementary rules need 1D dims (N), Moore rules 2D dims (RxC)\n"
+        assert not out_path.exists()
 
     def test_small_search_writes_catalog(self, capsys, tmp_path):
         out_path = tmp_path / "catalog.jsonl"

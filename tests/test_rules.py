@@ -76,6 +76,12 @@ class TestRuleNumbers:
         with pytest.raises(RuleError):
             RuleNumber(1 << 512, MOORE_ARITY)
 
+    @pytest.mark.parametrize("arity", [-1, 10, 99])
+    def test_arity_checked_before_the_range(self, arity):
+        # 1 << (1 << 99) does not fit in memory; the arity check comes first.
+        with pytest.raises(RuleError, match=f"unsupported arity {arity}"):
+            RuleNumber(0, arity)
+
     @given(st.integers(0, 255))
     def test_decode_encode_round_trip(self, n):
         rn = RuleNumber(n, ELEMENTARY_ARITY)

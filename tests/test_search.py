@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -61,6 +62,7 @@ class TestConfig:
             {"dyn_max_steps": 0},
             {"dyn_dims": (2, 2)},
             {"dyn_density": 1.5},
+            {"dyn_dims": 30},
         ],
     )
     def test_dynamic_settings_checked_at_construction(self, field):
@@ -200,6 +202,12 @@ class TestRunGA:
         assert r.metadata["generation_found"] >= 0
 
 
+def catalog_digest(cfg: GAConfig) -> str:
+    """First 16 hex digits of the sha256 of run_ga(cfg)'s catalog text."""
+    text = "".join(r.to_json() + "\n" for r in run_ga(cfg))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.fixture
 def pool_map():
     """The CLI's process-pool map with two workers, whatever the machine."""
@@ -243,3 +251,21 @@ class TestMap:
         assert len(calls) == self.DUPLICATES.generations
         assert len(scored) == len(set(scored))
         assert len(scored) < self.DUPLICATES.pop_size * self.DUPLICATES.generations
+
+
+class TestGoldenCatalogs:
+    """run_ga's catalogs pinned by digest: a change that moves a rule, a
+    tie or a generation_found fails here even when runs still agree with
+    each other."""
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (SMALL, "be6436e4bfa39e4c"),
+            (TestMap.DUPLICATES, "e729e874a51780dd"),
+            (DESK, "5f7e9a7ed2213588"),
+        ],
+        ids=["small", "duplicates", "desk"],
+    )
+    def test_catalog_digest(self, cfg, digest):
+        assert catalog_digest(cfg) == digest
