@@ -67,10 +67,12 @@ _GREEDY_AUTO_HELP = "prime-implicant cover strategy; auto runs as greedy"
 
 def _dynamic_args(parser: argparse.ArgumentParser, runs: int = 30) -> None:
     parser.add_argument("--runs", type=int, default=runs, help="random evolutions to average")
-    parser.add_argument("--size", default="100x100", help="lattice size, RxC (or N for 1D)")
+    parser.add_argument(
+        "--size", default="100x100", help="lattice size: RxC for Moore rules, N for elementary rules"
+    )
     parser.add_argument("--steps", type=int, default=100, help="maximum sampling step")
     parser.add_argument("--density", type=float, default=0.5, help="initial live-cell density")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+    parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
 def _check_seed(seed: int) -> int:

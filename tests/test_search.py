@@ -202,12 +202,6 @@ class TestRunGA:
         assert r.metadata["generation_found"] >= 0
 
 
-def catalog_digest(cfg: GAConfig) -> str:
-    """First 16 hex digits of the sha256 of run_ga(cfg)'s catalog text."""
-    text = "".join(r.to_json() + "\n" for r in run_ga(cfg))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 @pytest.fixture
 def pool_map():
     """The CLI's process-pool map with two workers, whatever the machine."""
@@ -268,4 +262,5 @@ class TestGoldenCatalogs:
         ids=["small", "duplicates", "desk"],
     )
     def test_catalog_digest(self, cfg, digest):
-        assert catalog_digest(cfg) == digest
+        text = "".join(r.to_json() + "\n" for r in run_ga(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
