@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -64,13 +65,14 @@ class CatalogRecord:
             self.md = _check_vector("md", self.md)
         for name in ("fitness", "correlation"):
             value = getattr(self, name)
-            if value is not None and not _is_number(value):
-                raise CatalogError(f"{name} must be a number or null, got {value!r}")
+            if value is not None and not (_is_number(value) and math.isfinite(value)):
+                raise CatalogError(f"{name} must be a finite number or null, got {value!r}")
         if not isinstance(self.metadata, dict):
             raise CatalogError(f"metadata must be an object, got {self.metadata!r}")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """One line of strict JSON: NaN and infinities are never written."""
+        return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, line: str) -> "CatalogRecord":

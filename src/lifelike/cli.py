@@ -370,10 +370,8 @@ def _cmd_search(args) -> int:
         raise ValueError(f"catalog path {args.out!r} is a directory")
 
     def progress(generation: int, best: catalog.CatalogRecord) -> None:
-        print(
-            f"generation {generation}: best fitness {best.fitness:.4f}",
-            file=sys.stderr,
-        )
+        fitness = "none" if best.fitness is None else f"{best.fitness:.4f}"
+        print(f"generation {generation}: best fitness {fitness}", file=sys.stderr)
 
     with _cpu_map() as map_fn:
         records = search.run_ga(

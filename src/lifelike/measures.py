@@ -19,31 +19,34 @@ import numpy as np
 
 from .heval import RuleProfile
 from .rules import ELEMENTARY_ARITY, MOORE_ARITY
-from .simulator import Torus, random_lattice
+from .simulator import Torus, pair_table, random_lattice
 
 _SUM_TOLERANCE = 1e-9
 
 #: Cells evolved together in one stack by the dynamic measure: eight
-#: 100x100 lattices. With the halo index a step costs about 2 ns per cell
-#: (2 CPUs, numpy 2.4.6) whether 4, 8, 16 or 32 lattices step together.
-#: Over whole measures, 8 was fastest on the Game of Life with 300 runs
-#: (median 427 ms; 4: 502, 16: 462, 32: 466), while 16 was faster at the
-#: paper's 10 runs (14.3 against 16.9 ms), which then fit one stack. No
-#: size won both, and the measure's peak memory grows with the stack. A
-#: stack is also the unit of work the measure hands to a process pool.
+#: 100x100 lattices. With the pair index a step of such a stack costs
+#: about 165 us, 2 ns per cell (2 CPUs, numpy 2.4.6; 245 us with one
+#: lookup per cell). Over whole serial measures of the Game of Life, median
+#: ms by lattices per stack: 300 runs 381 (4: 438, 16: 372, 32: 389), 10
+#: runs 11.8 (16 and 32: 10.0, when the 10 runs fit one stack). No size won
+#: both, and the measure's peak memory grows with the stack. A stack is
+#: also the unit of work the measure hands to a process pool.
 _STACK_CELLS = 8 * 100 * 100
 
 #: Cell-steps (the sum of k_i times the cells of a lattice) from which the
 #: dynamic measure hands `map_fn` one job per stack; below it, one job holds
 #: every stack, so a pool map forks nothing. Starting a pool, its first job
-#: and its shutdown cost about 40 ms. Median `ca dynamic` wall time on the
+#: and its shutdown cost about 25 ms. Median `ca dynamic` wall time on the
 #: Game of Life at 100x100 (about 5e5 cell-steps a run), serial against one
-#: job per stack on 2 forked workers, in two batches of fresh interpreters
-#: (2 CPUs, numpy 2.4.6): 10 runs 50 against 88 ms, 30 runs 93 against
-#: 118, 60 runs 149 against 136 and 166 against 155, 90 runs 146 against
-#: 162 and 213 against 194, 120 runs 244 against 214 and 279 against 231,
-#: 300 runs 666 against 456. Below about 100 runs the pool's gain, if any,
-#: is within the noise; from 120 runs it is clear.
+#: job per stack on 2 forked workers, fresh interpreters, pair-index kernel
+#: (2 CPUs, numpy 2.4.6; pool wins of 6 or 12 alternating pairs): 10 runs
+#: 30 against 53 ms (0/6), 30 runs 43 against 58 (1/6), 60 runs 65 against
+#: 82 (3/12), 90 runs 127 against 99 (9/12), 120 runs 186 against 160
+#: (11/12), 150 runs 173 against 155 (9/12), 180 runs 192 against 169
+#: (9/12), 300 runs 284 against 219 (6/6). With one lookup per cell the
+#: pool's gain was within the noise below about 100 runs and clear from
+#: 120; with the faster kernel it shows from 90 runs. The threshold, at 100
+#: runs, stays between the two: the crossover did not clearly move.
 _POOL_CELL_STEPS = 50_000_000
 
 #: Published behavior measures of the Game of Life, used as the default
@@ -139,14 +142,15 @@ def check_lattice(arity: int, dims: int | tuple[int, int]) -> None:
 
 
 def _evolve_stacks(
-    states: np.ndarray,
-    mcodes: np.ndarray,
+    state_pairs: np.ndarray,
+    mcode_pairs: np.ndarray,
     params: DynamicParams,
     ks: np.ndarray,
     stacks: list[np.ndarray],
 ) -> np.ndarray:
     """Percentage rows of the runs in `stacks`, in the order of their
-    concatenation. Each stack is an array of run indices sorted by k."""
+    concatenation. Each stack is an array of run indices sorted by k; the
+    pair tables come from `pair_table` on the rule's states and M codes."""
     rows = []
     for runs in stacks:
         stack = np.stack(
@@ -155,15 +159,15 @@ def _evolve_stacks(
         )
         torus = Torus(stack, stack.ndim - 1)
         for t in range(1, int(ks[runs[-1]]) + 1):
-            index = torus.index()
+            index = torus.pair_index()
             # Runs in k order, so the ones due at step t lead the stack.
             due = int(np.searchsorted(ks[runs], t, side="right"))
-            cells = torus.interior(index[:due])
-            for i in range(due):
-                counts = np.bincount(np.take(mcodes, cells[i]).ravel(), minlength=6)
-                rows.append(counts / counts.sum() * 100)
-            runs = runs[due:]
-            torus.advance(states, index, drop=due)
+            if due:
+                for codes in torus.interior(torus.lookup(mcode_pairs, index[:due])):
+                    counts = np.bincount(codes.ravel(), minlength=6)
+                    rows.append(counts / counts.sum() * 100)
+                runs = runs[due:]
+            torus.advance(torus.lookup(state_pairs, index[due:]))
     return np.array(rows)
 
 
@@ -179,8 +183,8 @@ def dynamic_measure(profile: RuleProfile, params: DynamicParams, map_fn=map) -> 
 
     Runs are evolved together: sorted by k_i (stable), in stacks of at
     most _STACK_CELLS cells held in one `Torus`. At step t the stack is
-    indexed once; runs with k_i == t classify their cells from that index
-    and leave the stack, the rest advance.
+    pair-indexed once; runs with k_i == t read their M codes from that
+    index and leave the stack, the rest read their next states from it.
 
     The stacks go to one call of `map_fn(job, batches)`, longest first,
     which must return the results in order: one batch of every stack when
@@ -201,7 +205,14 @@ def dynamic_measure(profile: RuleProfile, params: DynamicParams, map_fn=map) -> 
         batches = [stacks]
     else:
         batches = [[runs] for runs in stacks]
-    job = functools.partial(_evolve_stacks, profile.tt.as_array(), profile.mcodes, params, ks)
+    rank = 1 if isinstance(params.dims, int) else 2
+    job = functools.partial(
+        _evolve_stacks,
+        pair_table(profile.tt.as_array(), rank),
+        pair_table(profile.mcodes, rank),
+        params,
+        ks,
+    )
     percentages = np.empty((params.runs, 6), dtype=np.float64)
     for batch, rows in zip(batches, map_fn(job, batches)):
         percentages[np.concatenate(batch)] = rows

@@ -3,9 +3,11 @@
 Fitness is the Euclidean distance between a rule's concatenated behavior
 measures and a target vector (the Game of Life's published measures by
 default). Rules with nonzero static stability are hard constraint
-violations and never enter the emitted catalog. (Their dynamic stability
-is then 0 as well: the dynamic measure counts only codes of the rule's M
-table.) Every distinct evaluated chromosome is archived with its record.
+violations: they get no fitness (None), rank after every rule that has
+one and never enter the emitted catalog. (A rule without static
+stability has no dynamic stability either: the dynamic measure counts
+only codes of the rule's M table.) Every distinct evaluated chromosome is
+archived with its record.
 """
 from __future__ import annotations
 
@@ -97,16 +99,16 @@ def random_population(cfg: GAConfig, rng: np.random.Generator) -> list[np.ndarra
 
 def evaluate(
     chromosome: np.ndarray, cfg: GAConfig
-) -> tuple[BehaviorVector, BehaviorVector | None, float]:
+) -> tuple[BehaviorVector, BehaviorVector | None, float | None]:
     """(me, md, fitness) of one chromosome; a static stability violation
-    gets no dynamic measure and the worst fitness.
+    gets neither a dynamic measure nor a fitness (both None).
 
     A pure function of its arguments, so a worker process can compute it.
     """
     profile = rule_profile(_truth_table(chromosome), cfg.cover_mode)
     me = static_measure(profile)
     if me.stability > 0:
-        return me, None, math.inf
+        return me, None, None
     md = dynamic_measure(profile, cfg.dynamic_params(_dynamic_seed(cfg, chromosome)))
     return me, md, distance(feature_vector(me, md), cfg.target)
 
@@ -132,7 +134,7 @@ def mutate(chromosome: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
 
 def _record(
     chromosome: np.ndarray,
-    scored: tuple[BehaviorVector, BehaviorVector | None, float],
+    scored: tuple[BehaviorVector, BehaviorVector | None, float | None],
     generation: int,
     cfg: GAConfig,
 ) -> CatalogRecord:
@@ -170,8 +172,9 @@ def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
     Selection is seeded tournament (with elitism), variation is one-point
     crossover plus per-bit mutation. The archive holds one catalog record
     per distinct chromosome, made when it is first scored, and ranks
-    chromosomes by (fitness, chromosome bytes); records of stability
-    violators stay in the archive but not in the returned catalog.
+    chromosomes by (fitness, chromosome bytes), a missing fitness last;
+    records of stability violators stay in the archive but not in the
+    returned catalog.
     `progress(generation, best)` gets each generation's best record.
 
     Each generation's chromosomes that are not archived yet are scored with
@@ -185,7 +188,8 @@ def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
     job = functools.partial(evaluate, cfg=cfg)
 
     def rank(key: bytes) -> tuple[float, bytes]:
-        return (archive[key].fitness, key)
+        fitness = archive[key].fitness
+        return (math.inf if fitness is None else fitness, key)
 
     for generation in range(cfg.generations):
         new = {c.tobytes(): c for c in population if c.tobytes() not in archive}

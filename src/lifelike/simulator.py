@@ -2,29 +2,45 @@
 
 Lattices are numpy uint8 arrays of 0/1 cells: 1D arrays for elementary
 rules, 2D arrays for Moore-neighborhood rules. Boundaries are always
-toroidal. Every update looks its cells up in a 2^m table keyed by the
-packed neighborhood index, so one engine serves all rules.
+toroidal. Every update looks its cells up in a table keyed by the packed
+neighborhood index, so one engine serves all rules, and each lookup
+yields two horizontally adjacent cells.
 
-The index is separable and read at flat offsets. A `Torus` keeps its
-lattice, or each lattice of a stack, in one uint8 buffer with a one-cell
-toroidal halo, shape (..., N+2) or (..., H+2, W+2), whose edges copy the
-opposite ones. Over the flattened buffer, offsets -1, 0 and +1 give every
-cell a 3-bit row code (left, center, right), which is already the
-elementary index; offsets -(W+2), 0 and +(W+2) stack the codes of the
-rows above, at and below into the 9-bit Moore index. Each operation is
-one contiguous pass over the whole stack, without wrap logic: positions
-in the halo get an index too (at most 511), which is never read. A step
-looks every position up in one pass, which yields the next buffer in the
-same layout, and then refreshes its halo with 2 slice copies in 1D, 4 in
-2D. `evolve` and the dynamic measure keep a `Torus` across steps, pad
-only once, and read both the next state and the M code from one index
-per step; a stack sheds its leading lattices as a contiguous slice.
-`evolve` yields each frame and M field as it is stepped and keeps no
-history.
+A `Torus` keeps its lattice, or each lattice of a stack, in one uint8
+buffer with a one-cell toroidal halo, shape (..., w) or (..., H+2, w),
+whose edges copy the opposite ones. The row width w is N+2 or W+2
+rounded up to even: an odd width gets one dead column after the halo, so
+every row, and every lattice of a stack, is a whole number of cell
+pairs. The dead column holds 0 or 1 and is never read by a lattice cell.
+
+Over the flattened buffer f, every position p gets a 3-bit column code:
+v[p] = 4 f[p-w] + 2 f[p] + f[p+w] in 2D (rows above, at and below), and
+v = f in 1D. Viewed as little-endian uint16 words, V[k] holds v[2k] in
+bits 0-2 and v[2k+1] in bits 8-10. The pair index
+
+    idx[k] = V[k] | V[k-1] >> 5 | V[k+1] << 11
+
+keeps v[2k] in bits 0-2, v[2k-1] in bits 3-5, v[2k+1] in bits 8-10 and
+v[2k+2] in bits 11-13; uint16 wrap-around drops the rest. Those are the
+left, own and right column codes of cells 2k and 2k+1, so a 2^14-entry
+pair table (`pair_table`) holds the entries of both cells: byte 0 for
+cell 2k, byte 1 for cell 2k+1. The first and last pair of a pass leave
+out the missing neighbour word; that is exact, because each holds at
+most one lattice cell, whose neighbours are all present. Each operation is one
+contiguous pass over the whole stack without wrap logic: halo and dead
+positions get an index too, which is never read. The index is widened
+into an intp array the `Torus` keeps, so `np.take` reads it without a
+copy of its own. A step gathers every pair in one `take`, which yields
+the next buffer in the same layout, and then refreshes the halo with 2
+slice copies in 1D, 4 in 2D. `evolve` and the dynamic measure keep a
+`Torus` across steps and pad only once; a stack sheds its leading
+lattices as a contiguous slice. `evolve` yields each frame and M field
+as it is stepped and keeps no history.
 
 The next state is read from the rule's truth table, the M code from the
 M-coded table of its `RuleProfile`, which is built once per rule and is
-read-only.
+read-only. `evolve` gathers only M codes: a code of 3 or more carries
+next state 1.
 """
 from __future__ import annotations
 
@@ -34,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .heval import RuleProfile
-from .rules import ELEMENTARY_ARITY, MOORE_ARITY, TruthTable
+from .rules import ELEMENTARY_ARITY, M_STATE, MOORE_ARITY, TruthTable
 
 #: Pixel colors for M codes 0..5 in rendered fields.
 M_PALETTE = (
@@ -45,6 +61,9 @@ M_PALETTE = (
     (0, 0, 255),      # 4 {1, growth}: blue
     (0, 0, 0),        # 5 {1, stable}: black
 )
+
+#: M codes below it carry next state 0, the others 1.
+_FIRST_LIVE_CODE = M_STATE.index(1)
 
 
 class LatticeError(ValueError):
@@ -79,6 +98,33 @@ def random_lattice(
     return (rng.random(dims) < density).astype(np.uint8)
 
 
+def pair_table(table: np.ndarray, rank: int) -> np.ndarray:
+    """Read-only table of both cells' entries of `table` for every pair index.
+
+    `table` holds one entry per neighborhood index of rank-`rank` lattices
+    (2^3 in 1D, 2^9 in 2D), as uint8 or little-endian uint16. Entry k of
+    the result, twice as wide, holds the entry of the left cell of pair
+    index k in its low half and that of the right cell in its high half.
+    """
+    if rank == 1:
+        # Column codes are the cells themselves: only bit 0 is ever set.
+        bit = np.arange(8) & 1
+        cols = table.reshape(2, 2, 2)[np.ix_(bit, bit, bit)]
+    else:
+        # Code bits (top, middle, bottom) of the left, own and right column,
+        # from the row-major bits (NW, N, NE, W, C, E, SW, S, SE).
+        cols = table.reshape((2,) * 9).transpose(0, 3, 6, 1, 4, 7, 2, 5, 8).reshape(8, 8, 8)
+    # cols[l, c, r]: the entry of a cell whose left, own and right column
+    # codes are l, c, r. Axes of a pair index, most significant first:
+    # v[2k+2], v[2k+1], bits 6-7 (always 0), v[2k-1], v[2k].
+    cells = np.empty((8, 8, 4, 8, 8, 2), table.dtype)
+    cells[..., 0] = cols.transpose(2, 0, 1)[None, :, None]
+    cells[..., 1] = cols.transpose(2, 1, 0)[:, :, None, None, :]
+    pairs = cells.reshape(-1).view(f"<u{2 * table.itemsize}")
+    pairs.setflags(write=False)
+    return pairs
+
+
 class Torus:
     """Lattices on the torus, held in a wrap-padded uint8 buffer.
 
@@ -91,62 +137,79 @@ class Torus:
             raise LatticeError(f"cannot index rank-{rank} lattices in a {c.ndim}D array")
         lead = c.ndim - rank
         self.rank = rank
-        self._inner = (Ellipsis,) + (slice(1, -1),) * rank
-        self.buf = np.empty(c.shape[:lead] + tuple(s + 2 for s in c.shape[lead:]), np.uint8)
+        self._dims = c.shape[lead:]
+        self._inner = (Ellipsis,) + tuple(slice(1, s + 1) for s in self._dims)
+        width = self._dims[-1] + 2 + self._dims[-1] % 2
+        rows = tuple(s + 2 for s in self._dims[:-1])
+        self.buf = np.zeros(c.shape[:lead] + rows + (width,), np.uint8)
         self.buf[self._inner] = c
         self._wrap()
+        # The pair index is widened into this array, which np.take reads as
+        # it is; it would copy any other dtype into a new intp array. Made
+        # and freed every step, that copy cost about 40 page faults per step
+        # of eight 100x100 lattices, as glibc handed its memory back.
+        self._index = np.empty(self.buf.size // 2, np.intp)
 
     def _wrap(self) -> None:
         """Copy every lattice's edges into the opposite halo, corners included."""
         buf = self.buf
-        buf[..., 0] = buf[..., -2]
-        buf[..., -1] = buf[..., 1]
+        cols = self._dims[-1]
+        buf[..., 0] = buf[..., cols]
+        buf[..., cols + 1] = buf[..., 1]
         if self.rank == 2:
-            buf[..., 0, :] = buf[..., -2, :]
-            buf[..., -1, :] = buf[..., 1, :]
+            rows = self._dims[0]
+            buf[..., 0, :] = buf[..., rows, :]
+            buf[..., rows + 1, :] = buf[..., 1, :]
 
     def interior(self, a: np.ndarray) -> np.ndarray:
         """View of the lattice cells of `a`, an array shaped like the buffer."""
         return a[self._inner]
 
-    def index(self) -> np.ndarray:
-        """Neighborhood index of every buffer position, shaped like the buffer.
+    def pair_index(self) -> np.ndarray:
+        """Pair index of every two buffer positions, shaped like the buffer
+        with half as many columns.
 
-        Interior positions hold their cell's packed index; halo positions
-        hold some index below the table size.
+        Pairs holding a lattice cell get its packed pair index; the others
+        some index below 2^14. The intp array is the torus's own, which the
+        next call overwrites.
         """
         f = self.buf.reshape(-1)
-        # Rows of positions [1, size - 1). uint8 multiply-add: numpy has
-        # no SIMD loop for a uint8 shift.
-        row = f[:-2] * np.uint8(4)
-        row += f[1:-1]
-        row += f[1:-1]
-        row += f[2:]
-        if self.rank == 1:
-            index = np.empty(f.size, np.uint8)
-            index[1:-1] = row
-            index[:1] = index[-1:] = 0
-            return index.reshape(self.buf.shape)
         w = self.buf.shape[-1]
-        top = row[:-2 * w] * np.uint8(8)
-        top += row[w:-w]
-        # Positions [w + 1, size - w - 1) hold every interior cell.
-        index = np.empty(f.size, np.uint16)
-        moore = index[w + 1:f.size - w - 1]
-        np.left_shift(top, 3, out=moore, dtype=np.uint16)
-        moore += row[2 * w:]
-        index[:w + 1] = index[f.size - w - 1:] = 0
-        return index.reshape(self.buf.shape)
+        if self.rank == 1:
+            codes, edge = f, 0
+        else:
+            # Column codes of positions [w, size - w), which hold every
+            # lattice cell. uint8 multiply-add: numpy has no SIMD loop for
+            # a uint8 shift.
+            codes = f[:-2 * w] * np.uint8(4)
+            codes += f[w:-w]
+            codes += f[w:-w]
+            codes += f[2 * w:]
+            edge = w // 2
+        words = codes.view("<u2")
+        pairs = np.empty_like(words)
+        np.left_shift(words[1:], 11, out=pairs[:-1])
+        pairs[-1] = 0
+        pairs |= words
+        pairs[1:] |= words[:-1] >> 5
+        index = self._index[:f.size // 2]
+        index[edge:index.size - edge] = pairs
+        index[:edge] = index[index.size - edge:] = 0
+        return index.reshape(self.buf.shape[:-1] + (w // 2,))
 
-    def advance(self, states: np.ndarray, index: np.ndarray, drop: int = 0) -> None:
-        """Step every lattice by looking `index` up in `states`.
+    def lookup(self, pairs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Entries of `pairs` (from `pair_table`) at `index` (from
+        `pair_index`), one per buffer position: an array shaped like the
+        buffer, or like its leading lattices when `index` is sliced."""
+        return np.take(pairs, index).view(f"<u{pairs.itemsize // 2}")
 
-        `index` comes from `index()` on the current buffer; the first
-        `drop` lattices of a stack leave it instead of stepping.
+    def advance(self, buf: np.ndarray) -> None:
+        """Make `buf`, next states shaped like the buffer, the lattices.
+
+        `buf` comes from `lookup` on the current buffer's index; a stack
+        sheds its first lattices when that index was sliced past them.
         """
-        # A new array, not `out=` into the old buffer: numpy's take is
-        # slower with `out`, and the halo is refreshed either way.
-        self.buf = np.take(states, index[drop:])
+        self.buf = buf
         self._wrap()
 
 
@@ -155,22 +218,27 @@ def neighborhood_index_field(c: np.ndarray, rank: int | None = None) -> np.ndarr
 
     The last `rank` axes of `c` form one lattice (1: elementary, 2: Moore);
     any leading axes index a stack of lattices. `rank` defaults to c.ndim,
-    a single lattice.
+    a single lattice. Read through the pair table of the identity table.
     """
-    torus = Torus(c, c.ndim if rank is None else rank)
-    return torus.interior(torus.index())
+    rank = c.ndim if rank is None else rank
+    arity = ELEMENTARY_ARITY if rank == 1 else MOORE_ARITY
+    return _cell_entries(c, rank, np.arange(1 << arity, dtype="<u2"))
+
+
+def _cell_entries(c: np.ndarray, rank: int, table: np.ndarray) -> np.ndarray:
+    """Entry of `table` for every cell of the rank-`rank` lattices of c."""
+    torus = Torus(c, rank)
+    return torus.interior(torus.lookup(pair_table(table, rank), torus.pair_index())).copy()
 
 
 def step(c: np.ndarray, tt: TruthTable) -> np.ndarray:
     """Synchronous update of every cell on the torus (of every lattice of a stack)."""
-    rank = _check_dims(c, tt)
-    return np.take(tt.as_array(), neighborhood_index_field(c, rank))
+    return _cell_entries(c, _check_dims(c, tt), tt.as_array())
 
 
 def m_field(c: np.ndarray, profile: RuleProfile) -> np.ndarray:
     """M code of every cell's next step; state projection equals step(c, profile.tt)."""
-    rank = _check_dims(c, profile.tt)
-    return np.take(profile.mcodes, neighborhood_index_field(c, rank))
+    return _cell_entries(c, _check_dims(c, profile.tt), profile.mcodes)
 
 
 def evolve(
@@ -179,25 +247,25 @@ def evolve(
     """Yield (C^t, D^t) for t = 1..steps, one step at a time.
 
     C^t is the lattice after t steps from c0, and D^t the M field read
-    from the index of C^{t-1}. Both arrays are new and never touched
-    again by the generator, which keeps only the current lattice, so
-    memory does not grow with `steps`. The step count and the lattice shape are
-    checked at the call, before any step runs.
+    from C^{t-1}. Both arrays are new and never touched again by the
+    generator, which keeps only the current lattice, so memory does not
+    grow with `steps`. The step count and the lattice shape are checked at
+    the call, before any step runs.
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
     c0 = np.asarray(c0, dtype=np.uint8)
-    return _evolve(Torus(c0, _check_dims(c0, profile.tt)), profile, steps)
+    rank = _check_dims(c0, profile.tt)
+    return _evolve(Torus(c0, rank), pair_table(profile.mcodes, rank), steps)
 
 
 def _evolve(
-    torus: Torus, profile: RuleProfile, steps: int
+    torus: Torus, mcode_pairs: np.ndarray, steps: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    states = profile.tt.as_array()
     for _ in range(steps):
-        index = torus.index()
-        torus.advance(states, index)
-        yield torus.interior(torus.buf).copy(), np.take(profile.mcodes, torus.interior(index))
+        codes = torus.lookup(mcode_pairs, torus.pair_index())
+        torus.advance((codes >= _FIRST_LIVE_CODE).view(np.uint8))
+        yield torus.interior(torus.buf).copy(), torus.interior(codes).copy()
 
 
 # --- PPM output -------------------------------------------------------------

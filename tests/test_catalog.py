@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 
 import pytest
@@ -67,6 +68,10 @@ class TestCatalogRecord:
         with pytest.raises(CatalogError):
             CatalogRecord.from_json("not json")
 
+    def test_to_json_writes_no_non_standard_number(self):
+        with pytest.raises(ValueError):
+            record(metadata={"density": math.nan}).to_json()
+
 
 #: A valid line's fields; each case of TestMalformedFields overrides one.
 VALID_FIELDS = {"rule": "94", "arity": 3, "me": [0.0, 12.5, 62.5, 25.0]}
@@ -89,7 +94,10 @@ class TestMalformedFields:
             {"md": 5},
             {"md": ["0", "0", "0", "100"]},
             {"fitness": "1.5"},
+            {"fitness": float("inf")},
+            {"fitness": float("nan")},
             {"correlation": [1.0]},
+            {"correlation": float("-inf")},
             {"metadata": []},
         ],
         ids=repr,

@@ -180,7 +180,18 @@ GOLDEN_DYNAMIC = [
      (0.0, 100.0, 0.0, 0.0)),
     ("elem110_48cells", "e110", {"runs": 21, "dims": 48, "max_steps": 40, "seed": 3},
      (13.095238095238097, 13.194444444444448, 55.158730158730165, 18.551587301587297)),
+    ("elem30_37cells", "e30", {"runs": 19, "dims": 37, "max_steps": 30, "seed": 4},
+     (15.078236130867712, 0.0, 51.920341394025606, 33.001422475106686)),
+    ("elem90_3cells", "e90", {"runs": 6, "dims": 3, "max_steps": 8, "seed": 9},
+     (5.555555555555556, 0.0, 66.66666666666666, 27.77777777777778)),
+    ("elem54_101cells", "e54", {"runs": 40, "dims": 101, "max_steps": 100, "seed": 12},
+     (19.23267326732674, 0.0, 48.836633663366335, 31.930693069306926)),
 ]
+
+
+def _golden_tt(rule: str):
+    """The truth table of a GOLDEN_DYNAMIC rule name: "gol" or "e<number>"."""
+    return gol_truth_table() if rule == "gol" else elementary(int(rule[1:]))
 
 
 GOLDEN_PARAMS = [
@@ -222,7 +233,7 @@ def _batches(profile, params):
 class TestDynamicGolden:
     @pytest.mark.parametrize("rule,kwargs,expected", GOLDEN_PARAMS)
     def test_reproduces_recorded_vector(self, rule, kwargs, expected):
-        tt = gol_truth_table() if rule == "gol" else elementary(110)
+        tt = _golden_tt(rule)
         assert dynamic_measure(rule_profile(tt), DynamicParams(**kwargs)).as_tuple() == expected
 
     @pytest.mark.parametrize("map_fn", [map, _reversed_map], ids=["map", "reversed"])
@@ -234,7 +245,7 @@ class TestDynamicGolden:
         pool_cell_steps, stack_cells = LAYOUTS[layout]
         monkeypatch.setattr(measures, "_POOL_CELL_STEPS", pool_cell_steps)
         monkeypatch.setattr(measures, "_STACK_CELLS", stack_cells)
-        tt = gol_truth_table() if rule == "gol" else elementary(110)
+        tt = _golden_tt(rule)
         md = dynamic_measure(rule_profile(tt), DynamicParams(**kwargs), map_fn)
         assert md.as_tuple() == expected
 
