@@ -13,6 +13,9 @@ import itertools
 import json
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 from pathlib import Path
 
@@ -119,47 +122,101 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _start_worker(lifeline: int, keep: int) -> None:
-    """Set up a pool worker: ignore Ctrl-C, which the parent handles, and
-    exit as soon as the parent is gone, even if it was killed outright."""
-    import signal
-    import threading
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.close(keep)
-    threading.Thread(target=_exit_at_eof, args=(lifeline,), daemon=True).start()
+#: The claim word that ends a worker's part of a call.
+_STOP = 0xFFFF_FFFF
+_KILLED = "a worker process was killed before it finished"
 
 
-def _exit_at_eof(fd: int) -> None:
-    os.read(fd, 1)  # end of file once no process holds the write end
-    os._exit(1)
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _fork_pool(workers: int, stack: contextlib.ExitStack):
-    """A process pool of `workers` forked workers that `stack` shuts down,
-    or None if that is fewer than two or the platform cannot fork."""
-    if workers < 2:
-        return None
-    import multiprocessing
-    from concurrent import futures
-
-    # Fork, not spawn: a spawned worker imports numpy and lifelike again,
-    # which takes longer than a desk-scale search. With fork the executor
-    # starts all its workers before its manager thread, and `ca` starts no
-    # thread of its own. Forking flushes sys.stdout and sys.stderr, so no
-    # worker repeats buffered output.
+def _sendable(index: int, ok: bool, value) -> tuple:
+    """A worker's (index, ok, value) entry, with a ChildProcessError in
+    place of a value that would not unpickle in the parent."""
     try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-    # Only this process keeps the pipe's write end open: the out-of-memory
-    # killer can end it without a word, and its workers then read EOF.
-    lifeline, keep = os.pipe()
-    stack.callback(os.close, lifeline)
-    stack.callback(os.close, keep)
-    pool = futures.ProcessPoolExecutor(workers, context, _start_worker, (lifeline, keep))
-    stack.callback(pool.shutdown, cancel_futures=True)
-    return pool
+        pickle.loads(pickle.dumps(value))
+    except Exception as exc:
+        what = f"a {type(value).__name__}" if ok else repr(value)
+        return index, False, ChildProcessError(f"a worker could not send back {what}: {exc}")
+    return index, ok, value
+
+
+def _serve(tasks, claims: int, results: int) -> None:
+    """A worker's loop, one pass per call: read the call's pickled
+    (fn, jobs) from `tasks`, run the jobs whose indices it claims from
+    `claims` up to a stop word, and write their (index, ok, value) list to
+    `results`. After a job raises, the rest of its claims are read but not
+    run. Returns at the end of `tasks`, before a call or before any claim:
+    mid-call that pipe is readable only once the parent is gone."""
+    while True:
+        try:
+            fn, jobs = pickle.load(tasks)
+        except EOFError:
+            return
+        done, failed = [], False
+        while True:
+            if select.select([tasks], [], [], 0)[0]:
+                return
+            word = os.read(claims, 4)
+            if len(word) < 4:  # no claim is left and the parent is gone
+                return
+            index = int.from_bytes(word, "little")
+            if index == _STOP:
+                break
+            if failed:
+                continue
+            try:
+                done.append((index, True, fn(jobs[index])))
+            except Exception as exc:
+                done.append((index, False, exc))
+                failed = True
+        _write_all(results, pickle.dumps([_sendable(*entry) for entry in done]))
+
+
+def _fork_workers(count: int, workers: list, claim_r: int, claim_w: int) -> None:
+    """Fork `count` workers that claim jobs from `claim_r`, appending
+    (pid, task write end, result read end) to `workers`."""
+    for _ in range(count):
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+                # Only the parent keeps the write ends of the task and claim
+                # pipes and the read ends of the result pipes.
+                for fd in (claim_w, task_w, result_r, *(fd for _, *fds in workers for fd in fds)):
+                    os.close(fd)
+                _serve(open(task_r, "rb"), claim_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        workers.append((pid, task_w, result_r))
+
+
+def _pool_call(workers: list, claim_w: int, fn, jobs: list) -> list:
+    """Every (index, ok, value) entry of one call on `workers`; raises
+    ChildProcessError if a worker is gone before it answered."""
+    task = pickle.dumps((fn, jobs))
+    words = np.arange(len(jobs) + len(workers), dtype="<u4")
+    words[len(jobs):] = _STOP  # one per worker, after every job
+    entries = []
+    try:
+        for _, task_w, _ in workers:
+            _write_all(task_w, task)
+        _write_all(claim_w, words.tobytes())
+        for _, _, result_r in workers:
+            with open(result_r, "rb", closefd=False) as pipe:
+                entries += pickle.load(pipe)
+    except (BrokenPipeError, EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(_KILLED) from None
+    return entries
 
 
 @contextlib.contextmanager
@@ -167,36 +224,54 @@ def _cpu_map():
     """An ordered map that runs its jobs on forked workers, one per CPU
     this process may run on.
 
-    The workers start at the first call with two or more jobs, and there
-    are no more of them than that call has jobs. Until then, with a single
-    CPU, or on a platform that cannot fork, it is the builtin map and no
-    process starts. Workers are copies of this process, so they import
-    nothing; jobs and results travel pickled. The block ends only after
-    every worker has: on an error the queued jobs are cancelled and the
-    running ones finish first. A worker killed by a signal (the
-    out-of-memory killer, say) raises ChildProcessError; if this process
-    is killed, its workers exit by themselves.
+    The workers are forked at the first call with two or more jobs, and
+    there are no more of them than that call has jobs; they serve every
+    later call of the block. Until then, with a single CPU, or on a
+    platform without os.fork, it is the builtin map and no process starts.
+    Workers are copies of this process, so they import nothing. Each call
+    pickles (fn, jobs) once, writes it to every worker's task pipe, and
+    writes the job indices as four-byte words to one shared claim pipe; a
+    worker reads one word at a time, so each index goes to one worker and
+    no worker waits on this process for its next job.
+
+    A job's exception is raised here, the lowest index first; the queued
+    jobs are cancelled and the running ones finish. A worker killed by a
+    signal (the out-of-memory killer, say) raises ChildProcessError, here
+    and at every later call. The block ends after every worker has. If
+    this process is killed, its workers exit within one job: they read
+    EOF from their task pipes.
     """
-    with contextlib.ExitStack() as stack:
-        pool = None
+    workers: list[tuple[int, int, int]] = []
+    claim_w = None
 
-        def cpu_map(fn, jobs):
-            nonlocal pool
-            jobs = list(jobs)
-            if pool is None:
-                pool = _fork_pool(min(_cpu_count(), len(jobs)), stack)
-            return map(fn, jobs) if pool is None else pool.map(fn, jobs)
+    def cpu_map(fn, jobs):
+        nonlocal claim_w
+        jobs = list(jobs)
+        if claim_w is None:
+            count = min(_cpu_count(), len(jobs))
+            if count < 2 or not hasattr(os, "fork"):
+                return map(fn, jobs)
+            claim_r, claim_w = os.pipe()
+            try:
+                _fork_workers(count, workers, claim_r, claim_w)
+            finally:
+                os.close(claim_r)
+        entries = sorted(_pool_call(workers, claim_w, fn, jobs), key=lambda entry: entry[0])
+        for _, ok, value in entries:
+            if not ok:
+                raise value
+        return [value for _, _, value in entries]
 
-        try:
-            yield cpu_map
-        except Exception as exc:
-            if pool is not None:
-                from concurrent.futures.process import BrokenProcessPool
-
-                if isinstance(exc, BrokenProcessPool):
-                    msg = "a worker process was killed before it finished"
-                    raise ChildProcessError(msg) from exc
-            raise
+    try:
+        yield cpu_map
+    finally:
+        if claim_w is not None:
+            os.close(claim_w)
+        for _, task_w, result_r in workers:
+            os.close(task_w)
+            os.close(result_r)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
 
 
 # --- subcommands ------------------------------------------------------------

@@ -35,18 +35,17 @@ _STACK_CELLS = 8 * 100 * 100
 
 #: Cell-steps (the sum of k_i times the cells of a lattice) from which the
 #: dynamic measure hands `map_fn` one job per stack; below it, one job holds
-#: every stack, so a pool map forks nothing. Starting a pool, its first job
-#: and its shutdown cost about 25 ms. Median `ca dynamic` wall time on the
-#: Game of Life at 100x100 (about 5e5 cell-steps a run), serial against one
-#: job per stack on 2 forked workers, fresh interpreters, pair-index kernel
-#: (2 CPUs, numpy 2.4.6; pool wins of 6 or 12 alternating pairs): 10 runs
-#: 30 against 53 ms (0/6), 30 runs 43 against 58 (1/6), 60 runs 65 against
-#: 82 (3/12), 90 runs 127 against 99 (9/12), 120 runs 186 against 160
-#: (11/12), 150 runs 173 against 155 (9/12), 180 runs 192 against 169
-#: (9/12), 300 runs 284 against 219 (6/6). With one lookup per cell the
-#: pool's gain was within the noise below about 100 runs and clear from
-#: 120; with the faster kernel it shows from 90 runs. The threshold, at 100
-#: runs, stays between the two: the crossover did not clearly move.
+#: every stack, so a pool map forks nothing. Forking two workers, a first
+#: call and their exit cost about 8 ms. Median `ca dynamic` wall time on
+#: the Game of Life at 100x100 (about 5e5 cell-steps a run), serial against
+#: one job per stack on 2 forked workers, fresh interpreters (2 CPUs, numpy
+#: 2.4.6; pool wins of 12 alternating pairs): 10 runs 30 against 43 ms
+#: (0/12), 30 runs 45 against 50 (4/12), 60 runs 71 against 66 (8/12), 90
+#: runs 107 against 100 (10/12), 120 runs 182 against 129 (10/12), 150 runs
+#: 198 against 146 (12/12), 180 runs 223 against 171 (10/12), 300 runs 345
+#: against 216 (12/12). The crossover lies near 60 runs, but the pool wins
+#: reliably only from 90; the threshold, at 100 runs, keeps `ca dynamic` at
+#: its defaults (30 runs) free of any process.
 _POOL_CELL_STEPS = 50_000_000
 
 #: Published behavior measures of the Game of Life, used as the default

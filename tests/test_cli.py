@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -405,11 +404,11 @@ class TestSearch:
 
     def test_1d_size_exit_1_before_a_pool(self, capsys, tmp_path):
         out_path = tmp_path / "catalog.jsonl"
-        with _cpus(0, 1), _no_fork() as get_context:
+        with _cpus(0, 1), _no_fork() as fork:
             code, out, err = run(
                 capsys, "search", "--pop", "2", "--gens", "1", "--size", "30", "--out", str(out_path)
             )
-        get_context.assert_not_called()
+        fork.assert_not_called()
         assert (code, out) == (1, "")
         assert err == "error: elementary rules need 1D dims (N), Moore rules 2D dims (RxC)\n"
         assert not out_path.exists()
@@ -450,10 +449,10 @@ class TestImport:
         # A malformed line that was read would print a skip diagnostic.
         rules_file = tmp_path / "rules.txt"
         rules_file.write_text("x\n1\n2\n")
-        with _cpus(0, 1), _no_fork() as get_context:
+        with _cpus(0, 1), _no_fork() as fork:
             result = run(capsys, "import", str(rules_file), *argv, "--with-dynamic")
         assert result == (1, "", f"error: {message}\n")
-        get_context.assert_not_called()
+        fork.assert_not_called()
 
 
 def _fresh_interpreter(code: str, **popen) -> subprocess.Popen:
@@ -493,12 +492,11 @@ assert "networkx" not in sys.modules, "networkx was imported"
 
 
 def test_cli_import_loads_no_process_pool():
-    """Only a command that opens a pool imports multiprocessing, so the
-    start-up of every other command stays as it was."""
+    """Importing the CLI loads no process-pool package."""
     code = """
 import sys
 import lifelike.cli
-loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+loaded = [m for m in ("multiprocessing", "concurrent") if m in sys.modules]
 assert not loaded, f"imported {loaded}"
 """
     proc = _run_fresh(code)
@@ -513,8 +511,8 @@ SEARCH = (
 
 @pytest.mark.parametrize("before", ["", "searching\n"])
 def test_search_on_a_pipe_prints_its_line_once(tmp_path, before):
-    """Two workers run whatever the machine; text the caller left in the
-    stdout buffer is flushed before the fork, so no worker repeats it."""
+    """Two workers run whatever the machine; they leave through os._exit,
+    so none flushes its copy of text the caller left in the stdout buffer."""
     code = f"""
 import os, sys
 os.sched_getaffinity = lambda pid: {{0, 1}}
@@ -545,6 +543,17 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def _left_running(pids: list[int]) -> list[int]:
+    """The processes `pids` still running after up to 30 s, killed so
+    that a failing test leaves nothing behind."""
+    deadline = time.monotonic() + 30
+    while (alive := [pid for pid in pids if _running(pid)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    return alive
+
+
 def _die_in_worker():
     """A side effect that ends the process it runs in without a word, as
     the out-of-memory killer would, and fails in the test process."""
@@ -558,8 +567,19 @@ def _die_in_worker():
 
 
 def _no_fork():
-    """Fail, rather than hang on a mock context, if a pool would start."""
-    return mock.patch("multiprocessing.get_context", side_effect=AssertionError("a pool started"))
+    """Fail if a worker would be forked."""
+    return mock.patch.object(os, "fork", side_effect=AssertionError("a worker was forked"))
+
+
+def _count_forks():
+    """Count the processes forked, forking them as usual."""
+    return mock.patch.object(os, "fork", wraps=os.fork)
+
+
+def _assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _pool_at_two_stacks():
@@ -574,21 +594,44 @@ DYNAMIC_POOLED = ("dynamic", GOL, "--runs", "120", "--seed", "3")
 # Two stacks of eight 100x100 lattices, run as two jobs under _pool_at_two_stacks.
 DYNAMIC_TWO_STACKS = ("dynamic", GOL, "--runs", "16", "--steps", "5", "--seed", "3")
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="this platform cannot fork"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform cannot fork")
+
+
+@needs_fork
+def test_pooled_dynamic_loads_no_process_pool():
+    """A pooled dynamic measure forks its workers without a process-pool
+    package."""
+    code = f"""
+import contextlib, io, os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+fork = os.fork
+forks = 0
+
+def counting_fork():
+    global forks
+    forks += 1
+    return fork()
+
+os.fork = counting_fork
+from lifelike.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({list(DYNAMIC_POOLED)!r}) == 0
+assert forks == 2, forks
+loaded = [m for m in ("multiprocessing", "concurrent") if m in sys.modules]
+assert not loaded, f"imported {{loaded}}"
+"""
+    proc = _run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPool:
     @needs_fork
     def test_search_forks_and_leaves_no_child(self, capsys, tmp_path):
-        with _cpus(0, 1), mock.patch(
-            "multiprocessing.get_context", wraps=multiprocessing.get_context
-        ) as get_context:
+        with _cpus(0, 1), _count_forks() as fork:
             code, out, err = run(capsys, *SEARCH, "--out", str(tmp_path / "c.jsonl"))
         assert (code, err) == (0, "")
-        get_context.assert_called_once_with("fork")
-        assert multiprocessing.active_children() == []
+        assert fork.call_count == 2
+        _assert_no_child()
 
     @needs_fork
     def test_worker_error_exit_1(self, capsys, tmp_path):
@@ -601,7 +644,7 @@ class TestPool:
         assert (code, out) == (1, "")
         assert err.startswith("error: raised in process ") and err.count("\n") == 1
         assert int(err.split()[-1]) != os.getpid()
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         assert not out_path.exists()
 
     @needs_fork
@@ -610,8 +653,48 @@ class TestPool:
         with _cpus(0, 1), mock.patch("lifelike.search.dynamic_measure", side_effect=_die_in_worker()):
             code, out, err = run(capsys, *SEARCH, "--out", str(out_path))
         assert (code, out, err) == (1, "", KILLED)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         assert not out_path.exists()
+
+    @needs_fork
+    def test_unpicklable_worker_error_exit_1(self, capsys, tmp_path):
+        def fail(*args):
+            exc = measures.MeasureError("raised with a lambda attached")
+            exc.hook = lambda: None
+            raise exc
+
+        out_path = tmp_path / "c.jsonl"
+        with _cpus(0, 1), mock.patch("lifelike.search.dynamic_measure", side_effect=fail):
+            code, out, err = run(capsys, *SEARCH, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: a worker could not send back MeasureError('raised with a lambda attached'): "
+        )
+        assert err.count("\n") == 1
+        _assert_no_child()
+        assert not out_path.exists()
+
+    @needs_fork
+    def test_sigint_to_a_worker_changes_nothing(self, capsys):
+        # Ctrl-C is the parent's to handle: a worker carries on.
+        parent = os.getpid()
+        random_lattice = measures.random_lattice
+
+        def interrupt(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            return random_lattice(*args)
+
+        with _cpus(0, 1), _pool_at_two_stacks():
+            with _count_forks() as fork, mock.patch(
+                "lifelike.measures.random_lattice", side_effect=interrupt
+            ):
+                pooled = run(capsys, *DYNAMIC_TWO_STACKS)
+            assert fork.call_count == 2
+            with _cpus(0):
+                assert run(capsys, *DYNAMIC_TWO_STACKS) == pooled
+        assert (pooled[0], pooled[2]) == (0, "")
+        _assert_no_child()
 
     @needs_fork
     def test_killed_dynamic_worker_exit_1(self, capsys):
@@ -619,25 +702,23 @@ class TestPool:
             "lifelike.measures.random_lattice", side_effect=_die_in_worker()
         ):
             assert run(capsys, *DYNAMIC_TWO_STACKS) == (1, "", KILLED)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
     @needs_fork
     def test_dynamic_above_threshold_forks_once_and_is_identical(self, capsys):
-        with _cpus(0, 1), mock.patch(
-            "multiprocessing.get_context", wraps=multiprocessing.get_context
-        ) as get_context:
+        with _cpus(0, 1), _count_forks() as fork:
             pooled = run(capsys, *DYNAMIC_POOLED)
-        get_context.assert_called_once_with("fork")
-        assert multiprocessing.active_children() == []
+        assert fork.call_count == 2
+        _assert_no_child()
         assert (pooled[0], pooled[2]) == (0, "")
-        with _cpus(0), _no_fork() as get_context:
+        with _cpus(0), _no_fork() as fork:
             assert run(capsys, *DYNAMIC_POOLED) == pooled
-        get_context.assert_not_called()
+        fork.assert_not_called()
 
     def test_dynamic_at_its_defaults_starts_no_process(self, capsys):
-        with _cpus(0, 1), _no_fork() as get_context:
+        with _cpus(0, 1), _no_fork() as fork:
             code, out, err = run(capsys, "dynamic", GOL)
-        get_context.assert_not_called()
+        fork.assert_not_called()
         assert (code, err) == (0, "")
         assert json.loads(out)["params"]["runs"] == 30
 
@@ -645,16 +726,14 @@ class TestPool:
     def test_distance_opens_one_pool_and_is_identical(self, capsys):
         argv = ("distance", GOL, GOL, *DYNAMIC_TWO_STACKS[2:])
         with _cpus(0, 1), _pool_at_two_stacks():
-            with mock.patch(
-                "multiprocessing.get_context", wraps=multiprocessing.get_context
-            ) as get_context:
+            with _count_forks() as fork:
                 pooled = run(capsys, *argv)
-            get_context.assert_called_once_with("fork")
-            with _cpus(0):
+            assert fork.call_count == 2
+            with _cpus(0), _no_fork():
                 assert run(capsys, *argv) == pooled
         assert (pooled[0], pooled[2]) == (0, "")
         assert json.loads(pooled[1])["distance"] == 0.0
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
     @needs_fork
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read")
@@ -662,18 +741,26 @@ class TestPool:
         # As the out-of-memory killer would: `ca` itself ends without a word.
         argv = list(SEARCH) + ["--gens", "100000", "--out", str(tmp_path / "c.jsonl")]
         code = f"""
-import multiprocessing, os
+import os
 os.sched_getaffinity = lambda pid: {{0, 1}}
 from lifelike import search
 from lifelike.cli import main
 run_ga = search.run_ga
+fork = os.fork
+workers = []
+
+def fork_and_record():
+    pid = fork()
+    workers.append(pid)
+    return pid
 
 def report_workers(cfg, progress=None, map_fn=map):
     def progress(generation, best):
         if generation == 0:
-            print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+            print(*workers, flush=True)
     return run_ga(cfg, progress, map_fn)
 
+os.fork = fork_and_record
 search.run_ga = report_workers
 main({argv!r})
 """
@@ -682,12 +769,43 @@ main({argv!r})
                 workers = [int(pid) for pid in proc.stdout.readline().split()]
             finally:
                 proc.kill()
-        deadline = time.monotonic() + 30
-        while (alive := [pid for pid in workers if _running(pid)]) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        for pid in alive:  # leave nothing running when the test fails
-            os.kill(pid, signal.SIGKILL)
-        assert len(workers) == 2 and alive == []
+        assert len(workers) == 2 and _left_running(workers) == []
+
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="no /proc to read")
+    def test_workers_end_with_a_parent_killed_mid_call(self):
+        # 150 jobs of 0.8 s each are queued when `ca` is killed; a worker
+        # exits after the job it is running.
+        argv = list(DYNAMIC_POOLED[:3]) + ["1200"]
+        code = f"""
+import os, time
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from lifelike import measures
+from lifelike.cli import main
+parent = os.getpid()
+random_lattice = measures.random_lattice
+reported = False
+
+def slow_lattice(*args):
+    global reported
+    if os.getpid() != parent:
+        if not reported:
+            print(os.getpid(), flush=True)
+            reported = True
+        time.sleep(0.1)
+    return random_lattice(*args)
+
+measures.random_lattice = slow_lattice
+main({argv!r})
+"""
+        workers = set()
+        with _fresh_interpreter(code) as proc:
+            try:
+                while len(workers) < 2 and (line := proc.stdout.readline()):
+                    workers.add(int(line))
+            finally:
+                proc.kill()
+        assert len(workers) == 2 and _left_running(list(workers)) == []
 
     @pytest.mark.parametrize("serial", ["one_cpu", "no_fork"])
     def test_serial_search_is_identical(self, capsys, tmp_path, monkeypatch, serial):
@@ -701,15 +819,14 @@ main({argv!r})
         with _cpus(0, 1):
             pooled = search_in("pooled")
         if serial == "one_cpu":
-            with _cpus(0), mock.patch("multiprocessing.get_context") as get_context:
+            with _cpus(0), _no_fork() as fork:
                 assert search_in("serial") == pooled
-            get_context.assert_not_called()
+            fork.assert_not_called()
         else:
-            with _cpus(0, 1), mock.patch(
-                "multiprocessing.get_context", side_effect=ValueError("no fork")
-            ):
+            with _cpus(0, 1):
+                monkeypatch.delattr(os, "fork", raising=False)
                 assert search_in("serial") == pooled
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
     @needs_fork
     @pytest.mark.parametrize("dynamic", [(), ("--with-dynamic",)], ids=["static", "dynamic"])
@@ -720,25 +837,23 @@ main({argv!r})
             "import", str(rules_file), "--arity", "3", *dynamic,
             "--size", "32", "--runs", "2", "--steps", "5",
         )
-        with _cpus(0, 1), mock.patch(
-            "multiprocessing.get_context", wraps=multiprocessing.get_context
-        ) as get_context:
+        with _cpus(0, 1), _count_forks() as fork:
             pooled = run(capsys, *argv)
-        get_context.assert_called_once_with("fork")
-        with _cpus(0):
+        assert fork.call_count == 2
+        with _cpus(0), _no_fork():
             assert run(capsys, *argv) == pooled
         code, out, err = pooled
         assert code == 0
         assert [json.loads(line)["rule"] for line in out.splitlines()] == ["94", "110", "30"]
         assert [line.split(":")[1] for line in err.splitlines()] == ["2", "4"]
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
     def test_import_of_one_rule_starts_no_process(self, capsys, tmp_path):
         rules_file = tmp_path / "rules.txt"
         rules_file.write_text("x\n110\n")
-        with _cpus(0, 1), _no_fork() as get_context:
+        with _cpus(0, 1), _no_fork() as fork:
             code, out, err = run(capsys, "import", str(rules_file), "--arity", "3")
-        get_context.assert_not_called()
+        fork.assert_not_called()
         assert (code, json.loads(out)["rule"]) == (0, "110")
 
 

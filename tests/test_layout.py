@@ -3,8 +3,9 @@
 No private cross-module imports: a `lifelike` module or a script uses only
 the public names of another `lifelike` module, so `from .<module> import
 _name`, `from lifelike.<module> import _name` and `<module>._name` fail
-here. One process pool: no module but `cli.py` imports `multiprocessing`
-or `concurrent`, so every pool opens in `cli._cpu_map`.
+here. One process pool: no module or script imports `multiprocessing` or
+`concurrent`, and no module but `cli.py` reads `os.fork`, so every worker
+is forked in `cli._cpu_map`.
 """
 import ast
 from pathlib import Path
@@ -99,12 +100,26 @@ def pool_imports(source: str, name: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize(
-    "path", [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"],
-    ids=lambda path: path.name,
-)
+def fork_uses(source: str, name: str) -> list[str]:
+    """Reads and imports of `os.fork` anywhere in the file."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Attribute) and _dotted(node) == "os.fork":
+            found.append(f"{name}:{node.lineno} reads os.fork")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                f"{name}:{node.lineno} imports os.fork"
+                for alias in node.names
+                if alias.name == "fork"
+            ]
+    return found
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
 def test_only_cli_imports_a_process_pool(path):
     assert pool_imports(path.read_text(), path.name) == []
+    if path != PACKAGE / "cli.py":
+        assert fork_uses(path.read_text(), path.name) == []
 
 
 def test_pool_checker_flags_each_form():
@@ -123,4 +138,11 @@ def test_pool_checker_flags_each_form():
         "m.py:4 imports concurrent.futures.process",
         "m.py:5 imports multiprocessing.pool",
     ]
-    assert pool_imports((PACKAGE / "cli.py").read_text(), "cli.py") != []
+    source = (
+        "import os\n"
+        "pid = os.fork()\n"
+        "from os import fork, getpid\n"
+        "spawn = os.forkpty\n"
+    )
+    assert sorted(fork_uses(source, "m.py")) == ["m.py:2 reads os.fork", "m.py:3 imports os.fork"]
+    assert fork_uses((PACKAGE / "cli.py").read_text(), "cli.py") != []

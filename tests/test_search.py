@@ -1,7 +1,7 @@
 import hashlib
 import math
-import multiprocessing
 import os
+import signal
 from unittest import mock
 
 import numpy as np
@@ -244,10 +244,19 @@ class TestRunGA:
         assert r.metadata["generation_found"] >= 0
 
 
+_TEST_PROCESS = os.getpid()
+
+
+def _die_in_worker(job):
+    """End the worker without a word, as the out-of-memory killer would."""
+    assert os.getpid() != _TEST_PROCESS, "ran in the test process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 @pytest.fixture
 def pool_map():
     """The CLI's process-pool map with two workers, whatever the machine."""
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         pytest.skip("this platform cannot fork")
     with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True):
         with _cpu_map() as map_fn:
@@ -259,10 +268,22 @@ class TestMap:
     def test_pool_catalog_is_byte_identical(self, name, pool_map):
         # Compared with the serial catalog through its pinned digest.
         cfg, digest = GOLDEN_CATALOGS[name]
-        pooled = run_ga(cfg, map_fn=pool_map)
-        assert len(multiprocessing.active_children()) == 2
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            pooled = run_ga(cfg, map_fn=pool_map)
+        assert fork.call_count == 2
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # neither worker has exited
         assert pooled and catalog_digest(pooled) == digest
         assert len({r.metadata["generation_found"] for r in pooled}) > 1
+
+    def test_jobs_beyond_a_pipe_buffer_keep_their_order(self, pool_map):
+        # 160 kB of claim words, and the results, overflow a 64 kB pipe buffer.
+        jobs = range(-20_000, 20_000)
+        assert pool_map(abs, jobs) == [abs(job) for job in jobs]
+
+    def test_a_lost_worker_fails_every_later_call(self, pool_map):
+        for _ in range(2):
+            with pytest.raises(ChildProcessError, match="killed before it finished"):
+                pool_map(_die_in_worker, [0, 1])
 
     def test_each_new_chromosome_scored_once_per_run(self):
         calls = []
