@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Any, Iterable, TextIO
 
 from .heval import rule_profile
-from .measures import MeasureError, correlation, dynamic_measure, static_measure
-from .rules import MOORE_ARITY, RuleError, RuleNumber, decode_rule_number
+from .measures import BehaviorVector, correlation, dynamic_measure, static_measure
+from .rules import MOORE_ARITY, RuleError, RuleNumber, TruthTable, decode_rule_number
 
 _VECTOR_TOLERANCE = 1e-6
 
@@ -70,6 +70,29 @@ class CatalogRecord:
         if not isinstance(self.metadata, dict):
             raise CatalogError(f"metadata must be an object, got {self.metadata!r}")
 
+    @classmethod
+    def from_measures(
+        cls,
+        rule: int,
+        arity: int,
+        me: BehaviorVector,
+        md: BehaviorVector | None,
+        metadata: dict[str, Any],
+        fitness: float | None = None,
+    ) -> "CatalogRecord":
+        """The record of a measured rule: its vectors as lists and their
+        correlation, None without `md` or where it is undefined. The record
+        holds a copy of `metadata`, so no two records share one."""
+        return cls(
+            rule=str(rule),
+            arity=arity,
+            me=list(me.as_tuple()),
+            md=None if md is None else list(md.as_tuple()),
+            fitness=fitness,
+            correlation=None if md is None else correlation(me, md),
+            metadata=dict(metadata),
+        )
+
     def to_json(self) -> str:
         """One line of strict JSON: NaN and infinities are never written."""
         return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
@@ -111,19 +134,16 @@ def read_catalog(path: str | Path) -> list[CatalogRecord]:
     return records
 
 
-def _measure(tt, cover_mode: str, dynamic_params) -> tuple:
-    """(me, md, correlation) of one decoded rule; md and correlation are
-    None without `dynamic_params`."""
+def _measure(
+    decoded: tuple[RuleNumber, TruthTable], cover_mode: str, dynamic_params, metadata: dict
+) -> CatalogRecord:
+    """The record of one decoded rule; it has no dynamic measure without
+    `dynamic_params`."""
+    number, tt = decoded
     profile = rule_profile(tt, cover_mode)
     me = static_measure(profile)
-    md = corr = None
-    if dynamic_params is not None:
-        md = dynamic_measure(profile, dynamic_params)
-        try:
-            corr = correlation(me, md)
-        except MeasureError:
-            corr = None
-    return me, md, corr
+    md = None if dynamic_params is None else dynamic_measure(profile, dynamic_params)
+    return CatalogRecord.from_measures(number.value, number.arity, me, md, metadata)
 
 
 def import_published_rules(
@@ -145,9 +165,10 @@ def import_published_rules(
     still produce records. An arity outside [0, 9] raises CatalogError
     before the file is opened.
 
-    Every line is decoded first; the decoded rules are then measured with
-    one call of `map_fn(job, tables)`, which must return the results in
-    order (a process pool's `map` measures them in parallel).
+    Every line is decoded first; the decoded rules are then measured, and
+    their records built, with one call of `map_fn(job, rules)`, which must
+    return the results in order (a process pool's `map` measures them in
+    parallel).
     """
     if not 0 <= arity <= MOORE_ARITY:
         raise CatalogError(f"arity must lie in [0, {MOORE_ARITY}], got {arity}")
@@ -166,20 +187,10 @@ def import_published_rules(
                 print(f"{path}:{lineno}: skipped: {exc}", file=diagnostics)
                 continue
             decoded.append((number, tt))
-    job = functools.partial(_measure, cover_mode=cover_mode, dynamic_params=dynamic_params)
-    measured = map_fn(job, [tt for _, tt in decoded])
-    return [
-        CatalogRecord(
-            rule=str(number.value),
-            arity=arity,
-            me=list(me.as_tuple()),
-            md=list(md.as_tuple()) if md is not None else None,
-            correlation=corr,
-            metadata={
-                "source": str(path),
-                "bit_order": bit_order,
-                "cover_mode": cover_mode,
-            },
-        )
-        for (number, _), (me, md, corr) in zip(decoded, measured, strict=True)
-    ]
+    job = functools.partial(
+        _measure,
+        cover_mode=cover_mode,
+        dynamic_params=dynamic_params,
+        metadata={"source": str(path), "bit_order": bit_order, "cover_mode": cover_mode},
+    )
+    return list(map_fn(job, decoded))

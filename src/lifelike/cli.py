@@ -338,15 +338,11 @@ def _cmd_distance(args) -> int:
             profile = heval.rule_profile(tt, args.cover_mode)
             me = measures.static_measure(profile)
             md = measures.dynamic_measure(profile, params, map_fn)
-            try:
-                corr = measures.correlation(me, md)
-            except measures.MeasureError:
-                corr = None
             payload[label] = {
                 "rule": rules.format_rule_spec(tt),
                 "static": _vector_json(me),
                 "dynamic": _vector_json(md),
-                "correlation": corr,
+                "correlation": measures.correlation(me, md),
             }
             features.append(measures.feature_vector(me, md))
     payload["distance"] = measures.distance(features[0], features[1])
@@ -433,7 +429,6 @@ def _cmd_search(args) -> int:
         dyn_dims=_parse_size(args.size),
         dyn_max_steps=args.steps,
         dyn_density=args.density,
-        cover_mode=args.cover_mode if args.cover_mode != "auto" else "greedy",
         keep=args.keep,
         target=target,
     )
@@ -566,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="JSON array of 8 target components")
     p.add_argument("--out", required=True, help="catalog path (JSON lines)")
     p.add_argument("--verbose", action="store_true", help="per-generation progress on stderr")
-    _cover_arg(p, _GREEDY_AUTO_HELP)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("validate-h", help="check the 6-valued operator tables")
@@ -595,15 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        rules.RuleError,
-        measures.MeasureError,
-        catalog.CatalogError,
-        simulator.LatticeError,
-        boolmin.CoverBudgetExceeded,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError, boolmin.CoverBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

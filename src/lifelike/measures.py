@@ -239,8 +239,9 @@ def distance(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
 
 
-def correlation(me, md) -> float:
-    """Pearson correlation between the four aligned behavior components.
+def correlation(me, md) -> float | None:
+    """Pearson correlation between the four aligned behavior components;
+    None, where it is undefined, when either vector is constant.
 
     Accepts BehaviorVectors or plain 4-sequences (e.g. published vectors,
     whose rounded components need not sum exactly to 100).
@@ -248,5 +249,5 @@ def correlation(me, md) -> float:
     x = np.asarray(me.as_tuple() if isinstance(me, BehaviorVector) else me, dtype=np.float64)
     y = np.asarray(md.as_tuple() if isinstance(md, BehaviorVector) else md, dtype=np.float64)
     if np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise MeasureError("correlation undefined for a constant vector")
+        return None
     return float(np.corrcoef(x, y)[0, 1])

@@ -22,11 +22,8 @@ from .catalog import CatalogRecord
 from .heval import rule_profile
 from .measures import (
     GOL_TARGET,
-    BehaviorVector,
     DynamicParams,
-    MeasureError,
     check_lattice,
-    correlation,
     distance,
     dynamic_measure,
     feature_vector,
@@ -39,6 +36,12 @@ CHROMOSOME_BITS = 1 << MOORE_ARITY
 ELITISM = 2  # best individuals copied unchanged into the next generation
 TOURNAMENT = 3  # individuals drawn per tournament selection
 
+#: The cover every chromosome is minimized with. Petrick's exact cover
+#: exceeds its term budget on typical random 9-ary tables, so an exact
+#: search aborts in its first generation, and `auto` falls back to this
+#: cover on the same tables.
+COVER_MODE = "greedy"
+
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -50,7 +53,6 @@ class GAConfig:
     dyn_dims: tuple[int, int] = (100, 100)
     dyn_max_steps: int = 100
     dyn_density: float = 0.5
-    cover_mode: str = "greedy"
     keep: int = 1000
     target: tuple[float, ...] = GOL_TARGET
 
@@ -97,20 +99,34 @@ def random_population(cfg: GAConfig, rng: np.random.Generator) -> list[np.ndarra
     return [rng.integers(0, 2, size=CHROMOSOME_BITS, dtype=np.uint8) for _ in range(cfg.pop_size)]
 
 
-def evaluate(
-    chromosome: np.ndarray, cfg: GAConfig
-) -> tuple[BehaviorVector, BehaviorVector | None, float | None]:
-    """(me, md, fitness) of one chromosome; a static stability violation
-    gets neither a dynamic measure nor a fitness (both None).
+def evaluate(chromosome: np.ndarray, cfg: GAConfig, generation: int = 0) -> CatalogRecord:
+    """The catalog record of a chromosome first scored in `generation`; a
+    static stability violation gets neither a dynamic measure nor a
+    fitness (both None).
 
     A pure function of its arguments, so a worker process can compute it.
     """
-    profile = rule_profile(_truth_table(chromosome), cfg.cover_mode)
+    tt = _truth_table(chromosome)
+    profile = rule_profile(tt, COVER_MODE)
     me = static_measure(profile)
-    if me.stability > 0:
-        return me, None, None
-    md = dynamic_measure(profile, cfg.dynamic_params(_dynamic_seed(cfg, chromosome)))
-    return me, md, distance(feature_vector(me, md), cfg.target)
+    md = fitness = None
+    if me.stability == 0:
+        md = dynamic_measure(profile, cfg.dynamic_params(_dynamic_seed(cfg, chromosome)))
+        fitness = distance(feature_vector(me, md), cfg.target)
+    metadata = {
+        "seed": cfg.seed,
+        "cover_mode": COVER_MODE,
+        "generation_found": generation,
+        "dynamic": {
+            "runs": cfg.dyn_runs,
+            "dims": list(cfg.dyn_dims),
+            "max_steps": cfg.dyn_max_steps,
+            "density": cfg.dyn_density,
+        },
+    }
+    return CatalogRecord.from_measures(
+        encode_rule_number(tt).value, MOORE_ARITY, me, md, metadata, fitness
+    )
 
 
 def one_point_crossover(
@@ -132,40 +148,6 @@ def mutate(chromosome: np.ndarray, p: float, rng: np.random.Generator) -> np.nda
     return np.where(flips, 1 - chromosome, chromosome).astype(np.uint8)
 
 
-def _record(
-    chromosome: np.ndarray,
-    scored: tuple[BehaviorVector, BehaviorVector | None, float | None],
-    generation: int,
-    cfg: GAConfig,
-) -> CatalogRecord:
-    """The catalog record of a chromosome first scored in `generation`."""
-    me, md, fitness = scored
-    corr: float | None
-    try:
-        corr = correlation(me, md) if md is not None else None
-    except MeasureError:
-        corr = None
-    return CatalogRecord(
-        rule=str(encode_rule_number(_truth_table(chromosome)).value),
-        arity=MOORE_ARITY,
-        me=list(me.as_tuple()),
-        md=list(md.as_tuple()) if md is not None else None,
-        fitness=fitness,
-        correlation=corr,
-        metadata={
-            "seed": cfg.seed,
-            "cover_mode": cfg.cover_mode,
-            "generation_found": generation,
-            "dynamic": {
-                "runs": cfg.dyn_runs,
-                "dims": list(cfg.dyn_dims),
-                "max_steps": cfg.dyn_max_steps,
-                "density": cfg.dyn_density,
-            },
-        },
-    )
-
-
 def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
     """Generational GA; returns the archive of valid rules sorted by fitness.
 
@@ -178,14 +160,13 @@ def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
     `progress(generation, best)` gets each generation's best record.
 
     Each generation's chromosomes that are not archived yet are scored with
-    one call of `map_fn(job, chromosomes)`, which must return the results
+    one call of `map_fn(job, chromosomes)`, which must return their records
     in order; pass a process pool's `map` to score them in parallel. The
     catalog does not depend on `map_fn`.
     """
     rng = np.random.default_rng(cfg.seed)
     archive: dict[bytes, CatalogRecord] = {}
     population = random_population(cfg, rng)
-    job = functools.partial(evaluate, cfg=cfg)
 
     def rank(key: bytes) -> tuple[float, bytes]:
         fitness = archive[key].fitness
@@ -193,9 +174,8 @@ def run_ga(cfg: GAConfig, progress=None, map_fn=map) -> list[CatalogRecord]:
 
     for generation in range(cfg.generations):
         new = {c.tobytes(): c for c in population if c.tobytes() not in archive}
-        scored = map_fn(job, list(new.values()))
-        for (key, chromosome), result in zip(new.items(), scored, strict=True):
-            archive[key] = _record(chromosome, result, generation, cfg)
+        job = functools.partial(evaluate, cfg=cfg, generation=generation)
+        archive.update(zip(new, map_fn(job, list(new.values())), strict=True))
         population.sort(key=lambda chromosome: rank(chromosome.tobytes()))
         if progress is not None:
             progress(generation, archive[population[0].tobytes()])

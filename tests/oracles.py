@@ -1,12 +1,15 @@
 """Per-cell reference engines that the vectorized simulator and the
-M-code evaluator are checked against, and seeded tables that more than
-one test file needs."""
+M-code evaluator are checked against, and seeded tables and catalogs that
+more than one test file needs."""
+import hashlib
+
 import numpy as np
 
 from lifelike import boolmin
 from lifelike.heval import HTables, RuleProfile
 from lifelike.measures import BehaviorVector, DynamicParams
 from lifelike.rules import TruthTable, neighborhood_index
+from lifelike.search import GAConfig
 from lifelike.simulator import random_lattice
 
 #: Row-major offsets of the 2D Moore neighborhood, most significant first.
@@ -242,3 +245,22 @@ def prime_implicants_qm(tt: TruthTable) -> frozenset[boolmin.Cube]:
                 primes.add((mask, value))
         level = nxt
     return frozenset(primes)
+
+
+#: The configuration of acceptance criterion 9 (desk-scale search), and the
+#: digest of the catalog that `run_ga` returns for it.
+DESK = GAConfig(
+    pop_size=8,
+    generations=30,
+    seed=2024,
+    dyn_runs=5,
+    dyn_dims=(50, 50),
+    dyn_max_steps=50,
+)
+DESK_DIGEST = "5f7e9a7ed2213588"
+
+
+def catalog_digest(records) -> str:
+    """First 16 hex digits of the sha256 of a catalog's JSON lines."""
+    text = "".join(r.to_json() + "\n" for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -19,10 +19,10 @@ from lifelike.measures import (
     static_measure,
 )
 from lifelike.rules import elementary, gol_truth_table, index_to_cells, state_of
-from lifelike.search import GAConfig, run_ga
+from lifelike.search import run_ga
 from lifelike.simulator import random_lattice, step, m_field
 
-from oracles import eval_form_naive, step_naive
+from oracles import DESK, DESK_DIGEST, catalog_digest, eval_form_naive, step_naive
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -214,34 +214,30 @@ def test_criterion_08_simulator_oracles():
 
 
 def test_criterion_09_ga_desk_scale(tmp_path):
-    cfg = GAConfig(
-        pop_size=8,
-        generations=30,
-        seed=2024,
-        dyn_runs=5,
-        dyn_dims=(50, 50),
-        dyn_max_steps=50,
-    )
     start = time.time()
     best_per_gen = []
-    records_a = run_ga(cfg, progress=lambda g, ind: best_per_gen.append(ind.fitness))
-    records_b = run_ga(cfg)
+    records_a = run_ga(DESK, progress=lambda g, ind: best_per_gen.append(ind.fitness))
+    records_b = run_ga(DESK)
     elapsed = time.time() - start
 
     path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_catalog(records_a, path_a)
     write_catalog(records_b, path_b)
     identical = path_a.read_bytes() == path_b.read_bytes()
+    pinned = catalog_digest(records_a) == DESK_DIGEST
     non_increasing = all(
         b <= a or (math.isinf(a) and math.isinf(b))
         for a, b in zip(best_per_gen, best_per_gen[1:])
     )
     constraint_clean = all(r.me[0] == 0.0 and r.md[0] == 0.0 for r in records_a)
-    ok = identical and non_increasing and constraint_clean and records_a and elapsed < 300.0
+    ok = (
+        identical and pinned and non_increasing and constraint_clean and records_a
+        and elapsed < 300.0
+    )
     report(
         "criterion 9 (desk-scale genetic search, pop 8 x 30 generations)",
         bool(ok),
-        f"records={len(records_a)}, byte-identical={identical}, "
+        f"records={len(records_a)}, byte-identical={identical}, pinned digest={pinned}, "
         f"best-fitness non-increasing={non_increasing}, stability-clean={constraint_clean}, "
         f"{elapsed:.1f}s for both runs (limit 300s)",
     )

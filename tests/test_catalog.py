@@ -12,7 +12,15 @@ from lifelike.catalog import (
     read_catalog,
     write_catalog,
 )
-from lifelike.measures import DynamicParams
+from lifelike.heval import rule_profile
+from lifelike.measures import (
+    BehaviorVector,
+    DynamicParams,
+    correlation,
+    dynamic_measure,
+    static_measure,
+)
+from lifelike.rules import gol_truth_table
 
 GOL_RULE_NUMBER = (
     "476348294852520375132009738840824718882889556423255282629108"
@@ -71,6 +79,35 @@ class TestCatalogRecord:
     def test_to_json_writes_no_non_standard_number(self):
         with pytest.raises(ValueError):
             record(metadata={"density": math.nan}).to_json()
+
+
+class TestFromMeasures:
+    ME = BehaviorVector(0.0, 12.5, 62.5, 25.0)
+
+    def test_no_dynamic_measure_no_correlation(self):
+        r = CatalogRecord.from_measures(94, 3, self.ME, None, {"seed": 3})
+        assert r == record(metadata={"seed": 3})
+
+    def test_constant_vector_no_correlation(self):
+        md = BehaviorVector(25, 25, 25, 25)
+        r = CatalogRecord.from_measures(94, 3, self.ME, md, {}, fitness=2.0)
+        assert r.md == [25.0, 25.0, 25.0, 25.0] and r.fitness == 2.0
+        assert r.correlation is None
+
+    def test_game_of_life_correlation(self):
+        profile = rule_profile(gol_truth_table())
+        me = static_measure(profile)
+        md = dynamic_measure(profile, DynamicParams(runs=2, dims=(24, 24), max_steps=10, seed=0))
+        r = CatalogRecord.from_measures(int(GOL_RULE_NUMBER), 9, me, md, {"source": "gol"})
+        assert r.correlation == correlation(me, md) and r.correlation is not None
+        assert (r.rule, r.me, r.md) == (GOL_RULE_NUMBER, list(me.as_tuple()), list(md.as_tuple()))
+        assert CatalogRecord.from_json(r.to_json()) == r
+
+    def test_metadata_is_copied(self):
+        metadata = {"seed": 3}
+        a = CatalogRecord.from_measures(94, 3, self.ME, None, metadata)
+        b = CatalogRecord.from_measures(94, 3, self.ME, None, metadata)
+        assert a.metadata is not metadata and a.metadata is not b.metadata
 
 
 #: A valid line's fields; each case of TestMalformedFields overrides one.

@@ -423,7 +423,15 @@ class TestSearch:
         code, out, _ = run(capsys, *args)
         assert code == 0
         payload = json.loads(out)
-        assert payload["records"] == len(out_path.read_text().splitlines())
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert payload["records"] == len(records)
+        assert {r["metadata"]["cover_mode"] for r in records} == {"greedy"}
+
+    def test_cover_mode_is_a_usage_error(self, capsys, tmp_path):
+        # Search always minimizes with the greedy cover.
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--cover-mode", "greedy", "--out", str(tmp_path / "c.jsonl")])
+        assert exc.value.code == 2
 
 
 class TestImport:

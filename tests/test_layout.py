@@ -5,7 +5,9 @@ the public names of another `lifelike` module, so `from .<module> import
 _name`, `from lifelike.<module> import _name` and `<module>._name` fail
 here. One process pool: no module or script imports `multiprocessing` or
 `concurrent`, and no module but `cli.py` reads `os.fork`, so every worker
-is forked in `cli._cpu_map`.
+is forked in `cli._cpu_map`. One way to a catalog record: no module or
+script but `catalog.py` calls `CatalogRecord(...)`; the others build
+records through its classmethods.
 """
 import ast
 from pathlib import Path
@@ -146,3 +148,47 @@ def test_pool_checker_flags_each_form():
     )
     assert sorted(fork_uses(source, "m.py")) == ["m.py:2 reads os.fork", "m.py:3 imports os.fork"]
     assert fork_uses((PACKAGE / "cli.py").read_text(), "cli.py") != []
+
+
+def record_constructions(source: str, name: str) -> list[str]:
+    """Calls of `CatalogRecord`, under its own name, an alias or as a
+    module attribute; calls of its classmethods are not flagged."""
+    tree = ast.parse(source, name)
+    names = {"CatalogRecord"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names if a.name == "CatalogRecord" and a.asname)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in names:
+                lines.append(node.lineno)
+    return [f"{name}:{line} constructs CatalogRecord" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
+def test_only_catalog_constructs_a_record(path):
+    if path != PACKAGE / "catalog.py":
+        assert record_constructions(path.read_text(), path.name) == []
+
+
+def test_record_checker_flags_each_form():
+    source = (
+        "from .catalog import CatalogRecord\n"
+        "from lifelike.catalog import CatalogRecord as Record\n"
+        "from lifelike import catalog\n"
+        "CatalogRecord(rule='1', arity=0, me=[])\n"
+        "def f(fields):\n"
+        "    return Record(**fields)\n"
+        "catalog.CatalogRecord('1', 0, [])\n"
+        "CatalogRecord.from_measures(1, 0, me, None, {})\n"
+        "catalog.CatalogRecord.from_json(line)\n"
+        "Recorder()\n"
+    )
+    assert record_constructions(source, "m.py") == [
+        "m.py:4 constructs CatalogRecord",
+        "m.py:6 constructs CatalogRecord",
+        "m.py:7 constructs CatalogRecord",
+    ]

@@ -320,9 +320,9 @@ class TestCorrelation:
         me, md = PUBLISHED[name]
         assert correlation(me, md) == pytest.approx(expected, abs=0.01)
 
-    def test_constant_vector_rejected(self):
-        with pytest.raises(MeasureError):
-            correlation((25, 25, 25, 25), (0, 50, 25, 25))
+    def test_constant_vector_has_no_correlation(self):
+        assert correlation((25, 25, 25, 25), (0, 50, 25, 25)) is None
+        assert correlation((0, 50, 25, 25), (25, 25, 25, 25)) is None
 
     def test_accepts_behavior_vectors(self):
         a = BehaviorVector(0, 50, 25, 25)

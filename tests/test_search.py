@@ -1,4 +1,4 @@
-import hashlib
+import dataclasses
 import math
 import os
 import signal
@@ -22,15 +22,7 @@ from lifelike.search import (
     run_ga,
 )
 
-#: The configuration of acceptance criterion 9 (desk-scale search).
-DESK = GAConfig(
-    pop_size=8,
-    generations=30,
-    seed=2024,
-    dyn_runs=5,
-    dyn_dims=(50, 50),
-    dyn_max_steps=50,
-)
+from oracles import DESK, DESK_DIGEST, catalog_digest
 
 SMALL = GAConfig(
     pop_size=6,
@@ -59,14 +51,8 @@ DUPLICATES = GAConfig(
 GOLDEN_CATALOGS = {
     "small": (SMALL, "be6436e4bfa39e4c"),
     "duplicates": (DUPLICATES, "e729e874a51780dd"),
-    "desk": (DESK, "5f7e9a7ed2213588"),
+    "desk": (DESK, DESK_DIGEST),
 }
-
-
-def catalog_digest(records) -> str:
-    """First 16 hex digits of the sha256 of a catalog's JSON lines."""
-    text = "".join(r.to_json() + "\n" for r in records)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def chromosome(rng):
@@ -152,25 +138,25 @@ class TestVariation:
 class TestEvaluate:
     def test_identity_like_rule_gets_no_fitness(self):
         # A constant-1 rule is fully stable statically: hard constraint.
-        me, md, fitness = evaluate(np.ones(CHROMOSOME_BITS, dtype=np.uint8), SMALL)
-        assert me.stability > 0
-        assert fitness is None
-        assert md is None
+        record = evaluate(np.ones(CHROMOSOME_BITS, dtype=np.uint8), SMALL)
+        assert record.me[0] > 0
+        assert record.fitness is None
+        assert record.md is None
 
     def test_rule_minimized_once(self):
         # The Game of Life has no static stability, so both measures run.
         with mock.patch.object(boolmin, "minimal_form", wraps=boolmin.minimal_form) as spy:
-            _, md, _ = evaluate(gol_truth_table().as_array(), SMALL)
-        assert md is not None
+            record = evaluate(gol_truth_table().as_array(), SMALL)
+        assert record.md is not None
         assert spy.call_count == 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_static_stability_means_no_dynamic_stability(self, seed):
         # The dynamic measure counts only codes of the M table, so a rule
         # valid by its static measure needs no dynamic stability check.
-        me, md, fitness = evaluate(chromosome(np.random.default_rng(seed)), SMALL)
-        assert me.stability == 0
-        assert md.stability == 0 and math.isfinite(fitness)
+        record = evaluate(chromosome(np.random.default_rng(seed)), SMALL)
+        assert record.me[0] == 0
+        assert record.md[0] == 0 and math.isfinite(record.fitness)
 
     def test_reevaluation_is_reproducible(self):
         rng = np.random.default_rng(3)
@@ -198,7 +184,8 @@ class TestRunGA:
         def half_violating(job, chromosomes):
             scored = [job(c) for c in chromosomes]
             return [
-                (me, None, None) if i % 2 else (me, md, f) for i, (me, md, f) in enumerate(scored)
+                dataclasses.replace(r, md=None, fitness=None, correlation=None) if i % 2 else r
+                for i, r in enumerate(scored)
             ]
 
         best = []
@@ -300,7 +287,8 @@ class TestMap:
 
 
 class TestGoldenCatalogs:
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CATALOGS))
+    # Criterion 9 checks the desk catalog's digest.
+    @pytest.mark.parametrize("name", ["duplicates", "small"])
     def test_catalog_digest(self, name):
         cfg, digest = GOLDEN_CATALOGS[name]
         assert catalog_digest(run_ga(cfg)) == digest
