@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable
 
 from .heval import rule_profile
 from .measures import BehaviorVector, correlation, dynamic_measure, static_measure
@@ -57,7 +57,7 @@ class CatalogRecord:
         if type(self.arity) is not int:
             raise CatalogError(f"arity must be an integer, got {self.arity!r}")
         try:
-            decode_rule_number(RuleNumber(int(self.rule), self.arity))
+            RuleNumber(int(self.rule), self.arity)
         except ValueError as exc:  # RuleError, or too many digits for int
             raise CatalogError(f"invalid rule number for arity {self.arity}: {exc}")
         self.me = _check_vector("me", self.me)
@@ -152,7 +152,6 @@ def import_published_rules(
     arity: int = 9,
     dynamic_params=None,
     cover_mode: str = "greedy",
-    diagnostics: TextIO | None = None,
     map_fn=map,
 ) -> list[CatalogRecord]:
     """Decode a plain-text file of decimal rule numbers, one per line.
@@ -160,10 +159,9 @@ def import_published_rules(
     Each valid line becomes a record with its static measure; pass
     `dynamic_params` to also sample the dynamic measure (off by default —
     decoding hundreds of rules should not force hundreds of simulations).
-    Malformed lines are reported to `diagnostics` (the current sys.stderr
-    by default) with their line number and skipped; the remaining lines
-    still produce records. An arity outside [0, 9] raises CatalogError
-    before the file is opened.
+    Malformed lines are reported to sys.stderr with their line number and
+    skipped; the remaining lines still produce records. An arity outside
+    [0, 9] raises CatalogError before the file is opened.
 
     Every line is decoded first; the decoded rules are then measured, and
     their records built, with one call of `map_fn(job, rules)`, which must
@@ -172,8 +170,6 @@ def import_published_rules(
     """
     if not 0 <= arity <= MOORE_ARITY:
         raise CatalogError(f"arity must lie in [0, {MOORE_ARITY}], got {arity}")
-    if diagnostics is None:
-        diagnostics = sys.stderr
     decoded = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,7 +180,7 @@ def import_published_rules(
                 number = RuleNumber(int(text), arity)
                 tt = decode_rule_number(number, bit_order)
             except (ValueError, RuleError) as exc:
-                print(f"{path}:{lineno}: skipped: {exc}", file=diagnostics)
+                print(f"{path}:{lineno}: skipped: {exc}", file=sys.stderr)
                 continue
             decoded.append((number, tt))
     job = functools.partial(

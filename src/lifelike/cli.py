@@ -489,7 +489,7 @@ def _cmd_import(args) -> int:
     params = None
     if args.with_dynamic:
         params = _dynamic_params(args)
-        measures.check_lattice(args.arity, params.dims)
+        simulator.check_lattice(args.arity, params.dims)
     with _cpu_map() as map_fn:
         records = catalog.import_published_rules(
             args.path,

@@ -8,7 +8,9 @@ from random initial lattices, excluding the initial configuration. The
 dynamic measure's evolutions are independent, so it hands them, in
 stacks, to an ordered map that its caller chooses (the builtin `map` by
 default, a process pool's under `ca dynamic` and `ca distance`); its
-result does not depend on that map.
+result does not depend on that map. This module keeps the sampling
+protocol (the per-run streams, sampling steps and stacks) and the
+statistics; `simulator.fields_at` steps the stacks.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heval import RuleProfile
-from .rules import ELEMENTARY_ARITY, MOORE_ARITY
-from .simulator import Torus, pair_table, random_lattice
+from .simulator import check_lattice, fields_at, random_lattice
 
 _SUM_TOLERANCE = 1e-9
 
@@ -112,6 +113,8 @@ class DynamicParams:
             raise MeasureError("density must lie in [0, 1]")
         if self.seed < 0:  # numpy seeds are non-negative; there is no upper bound
             raise MeasureError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.dims, int) and len(self.dims) != 2:
+            raise MeasureError(f"dims must be a size N or a shape (R, C), got {self.dims}")
         sizes = (self.dims,) if isinstance(self.dims, int) else self.dims
         if any(s < 3 for s in sizes):
             raise MeasureError("lattice dimensions must be >= 3")
@@ -131,42 +134,20 @@ def _run_stream(params: DynamicParams, run: int) -> tuple[np.random.Generator, i
     return rng, int(rng.integers(1, params.max_steps + 1))
 
 
-def check_lattice(arity: int, dims: int | tuple[int, int]) -> None:
-    """Raise MeasureError unless rules of `arity` evolve on lattices of `dims`:
-    elementary rules on 1D dims (N), Moore rules on 2D dims (RxC)."""
-    if arity not in (ELEMENTARY_ARITY, MOORE_ARITY):
-        raise MeasureError(f"rules of arity {arity} have no lattice to evolve")
-    if isinstance(dims, int) != (arity == ELEMENTARY_ARITY):
-        raise MeasureError("elementary rules need 1D dims (N), Moore rules 2D dims (RxC)")
-
-
 def _evolve_stacks(
-    state_pairs: np.ndarray,
-    mcode_pairs: np.ndarray,
-    params: DynamicParams,
-    ks: np.ndarray,
-    stacks: list[np.ndarray],
+    profile: RuleProfile, params: DynamicParams, ks: np.ndarray, stacks: list[np.ndarray]
 ) -> np.ndarray:
     """Percentage rows of the runs in `stacks`, in the order of their
-    concatenation. Each stack is an array of run indices sorted by k; the
-    pair tables come from `pair_table` on the rule's states and M codes."""
+    concatenation. Each stack is an array of run indices sorted by k."""
     rows = []
     for runs in stacks:
         stack = np.stack(
             [random_lattice(params.dims, params.density, _run_stream(params, run)[0])
              for run in runs]
         )
-        torus = Torus(stack, stack.ndim - 1)
-        for t in range(1, int(ks[runs[-1]]) + 1):
-            index = torus.pair_index()
-            # Runs in k order, so the ones due at step t lead the stack.
-            due = int(np.searchsorted(ks[runs], t, side="right"))
-            if due:
-                for codes in torus.interior(torus.lookup(mcode_pairs, index[:due])):
-                    counts = np.bincount(codes.ravel(), minlength=6)
-                    rows.append(counts / counts.sum() * 100)
-                runs = runs[due:]
-            torus.advance(torus.lookup(state_pairs, index[due:]))
+        for codes in fields_at(stack, profile, ks[runs]):
+            counts = np.bincount(codes.ravel(), minlength=6)
+            rows.append(counts / counts.sum() * 100)
     return np.array(rows)
 
 
@@ -181,9 +162,8 @@ def dynamic_measure(profile: RuleProfile, params: DynamicParams, map_fn=map) -> 
     depend on evaluation order.
 
     Runs are evolved together: sorted by k_i (stable), in stacks of at
-    most _STACK_CELLS cells held in one `Torus`. At step t the stack is
-    pair-indexed once; runs with k_i == t read their M codes from that
-    index and leave the stack, the rest read their next states from it.
+    most _STACK_CELLS cells, each stepped by `simulator.fields_at`, which
+    yields every run's M field at its own k_i.
 
     The stacks go to one call of `map_fn(job, batches)`, longest first,
     which must return the results in order: one batch of every stack when
@@ -204,14 +184,7 @@ def dynamic_measure(profile: RuleProfile, params: DynamicParams, map_fn=map) -> 
         batches = [stacks]
     else:
         batches = [[runs] for runs in stacks]
-    rank = 1 if isinstance(params.dims, int) else 2
-    job = functools.partial(
-        _evolve_stacks,
-        pair_table(profile.tt.as_array(), rank),
-        pair_table(profile.mcodes, rank),
-        params,
-        ks,
-    )
+    job = functools.partial(_evolve_stacks, profile, params, ks)
     percentages = np.empty((params.runs, 6), dtype=np.float64)
     for batch, rows in zip(batches, map_fn(job, batches)):
         percentages[np.concatenate(batch)] = rows

@@ -23,13 +23,13 @@ from .heval import rule_profile
 from .measures import (
     GOL_TARGET,
     DynamicParams,
-    check_lattice,
     distance,
     dynamic_measure,
     feature_vector,
     static_measure,
 )
 from .rules import MOORE_ARITY, TruthTable, encode_rule_number
+from .simulator import check_lattice
 
 CHROMOSOME_BITS = 1 << MOORE_ARITY
 

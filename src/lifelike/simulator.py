@@ -1,14 +1,14 @@
 """Lattice evolution, behavior fields, and image output.
 
 Lattices are numpy uint8 arrays of 0/1 cells: 1D arrays for elementary
-rules, 2D arrays for Moore-neighborhood rules. Boundaries are always
-toroidal. Every update looks its cells up in a table keyed by the packed
-neighborhood index, so one engine serves all rules, and each lookup
-yields two horizontally adjacent cells.
+rules, 2D arrays for Moore-neighborhood rules (`check_lattice`).
+Boundaries are always toroidal. Every update looks its cells up in a
+table keyed by the packed neighborhood index, so one engine serves all
+rules, and each lookup yields two horizontally adjacent cells.
 
-A `Torus` keeps its lattice, or each lattice of a stack, in one uint8
-buffer with a one-cell toroidal halo, shape (..., w) or (..., H+2, w),
-whose edges copy the opposite ones. The row width w is N+2 or W+2
+A torus (`_Torus`) keeps its lattice, or each lattice of a stack, in one
+uint8 buffer with a one-cell toroidal halo, shape (..., w) or (..., H+2,
+w), whose edges copy the opposite ones. The row width w is N+2 or W+2
 rounded up to even: an odd width gets one dead column after the halo, so
 every row, and every lattice of a stack, is a whole number of cell
 pairs. The dead column holds 0 or 1 and is never read by a lattice cell.
@@ -23,24 +23,25 @@ bits 0-2 and v[2k+1] in bits 8-10. The pair index
 keeps v[2k] in bits 0-2, v[2k-1] in bits 3-5, v[2k+1] in bits 8-10 and
 v[2k+2] in bits 11-13; uint16 wrap-around drops the rest. Those are the
 left, own and right column codes of cells 2k and 2k+1, so a 2^14-entry
-pair table (`pair_table`) holds the entries of both cells: byte 0 for
+pair table (`_pair_table`) holds the entries of both cells: byte 0 for
 cell 2k, byte 1 for cell 2k+1. The first and last pair of a pass leave
 out the missing neighbour word; that is exact, because each holds at
 most one lattice cell, whose neighbours are all present. Each operation is one
 contiguous pass over the whole stack without wrap logic: halo and dead
 positions get an index too, which is never read. The index is widened
-into an intp array the `Torus` keeps, so `np.take` reads it without a
+into an intp array the torus keeps, so `np.take` reads it without a
 copy of its own. A step gathers every pair in one `take`, which yields
 the next buffer in the same layout, and then refreshes the halo with 2
-slice copies in 1D, 4 in 2D. `evolve` and the dynamic measure keep a
-`Torus` across steps and pad only once; a stack sheds its leading
-lattices as a contiguous slice. `evolve` yields each frame and M field
-as it is stepped and keeps no history.
+slice copies in 1D, 4 in 2D. `evolve` and `fields_at` keep a torus
+across steps and pad only once; a stack sheds its leading lattices as a
+contiguous slice. `evolve` yields each frame and M field as it is
+stepped and keeps no history.
 
 The next state is read from the rule's truth table, the M code from the
 M-coded table of its `RuleProfile`, which is built once per rule and is
 read-only. `evolve` gathers only M codes: a code of 3 or more carries
-next state 1.
+next state 1. `fields_at` gathers M codes for the lattices due at a step
+and next states for the rest.
 """
 from __future__ import annotations
 
@@ -70,20 +71,16 @@ class LatticeError(ValueError):
     """Lattice shape incompatible with the rule arity."""
 
 
-def _check_dims(c: np.ndarray, tt: TruthTable) -> int:
-    """Check that c is one lattice of tt or, for a Moore rule, an (n, H, W) stack.
-
-    Returns the rank of one lattice: 1 for elementary rules, 2 for Moore rules.
-    """
-    if tt.arity == ELEMENTARY_ARITY:
-        if c.ndim != 1:
-            raise LatticeError("elementary rules evolve 1D lattices")
-        return 1
-    if tt.arity == MOORE_ARITY:
-        if c.ndim not in (2, 3):
-            raise LatticeError("Moore-neighborhood rules evolve 2D lattices or (n, H, W) stacks")
-        return 2
-    raise LatticeError(f"rules of arity {tt.arity} have no lattice")
+def check_lattice(arity: int, shape: int | tuple[int, ...]) -> int:
+    """Rank of a lattice of size N or shape `shape` under rules of `arity`
+    (1: elementary, 2: Moore, which also take (n, R, C) stacks)."""
+    if arity not in (ELEMENTARY_ARITY, MOORE_ARITY):
+        raise LatticeError(f"rules of arity {arity} have no lattice to evolve")
+    rank = 1 if arity == ELEMENTARY_ARITY else 2
+    ndim = 1 if isinstance(shape, int) else len(shape)
+    if ndim != rank and (rank, ndim) != (2, 3):
+        raise LatticeError("elementary rules need 1D dims (N), Moore rules 2D dims (RxC)")
+    return rank
 
 
 def random_lattice(
@@ -98,7 +95,7 @@ def random_lattice(
     return (rng.random(dims) < density).astype(np.uint8)
 
 
-def pair_table(table: np.ndarray, rank: int) -> np.ndarray:
+def _pair_table(table: np.ndarray, rank: int) -> np.ndarray:
     """Read-only table of both cells' entries of `table` for every pair index.
 
     `table` holds one entry per neighborhood index of rank-`rank` lattices
@@ -125,7 +122,7 @@ def pair_table(table: np.ndarray, rank: int) -> np.ndarray:
     return pairs
 
 
-class Torus:
+class _Torus:
     """Lattices on the torus, held in a wrap-padded uint8 buffer.
 
     The last `rank` axes of `c` form one lattice (1: elementary, 2: Moore);
@@ -198,7 +195,7 @@ class Torus:
         return index.reshape(self.buf.shape[:-1] + (w // 2,))
 
     def lookup(self, pairs: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Entries of `pairs` (from `pair_table`) at `index` (from
+        """Entries of `pairs` (from `_pair_table`) at `index` (from
         `pair_index`), one per buffer position: an array shaped like the
         buffer, or like its leading lattices when `index` is sliced."""
         return np.take(pairs, index).view(f"<u{pairs.itemsize // 2}")
@@ -227,18 +224,18 @@ def neighborhood_index_field(c: np.ndarray, rank: int | None = None) -> np.ndarr
 
 def _cell_entries(c: np.ndarray, rank: int, table: np.ndarray) -> np.ndarray:
     """Entry of `table` for every cell of the rank-`rank` lattices of c."""
-    torus = Torus(c, rank)
-    return torus.interior(torus.lookup(pair_table(table, rank), torus.pair_index())).copy()
+    torus = _Torus(c, rank)
+    return torus.interior(torus.lookup(_pair_table(table, rank), torus.pair_index())).copy()
 
 
 def step(c: np.ndarray, tt: TruthTable) -> np.ndarray:
     """Synchronous update of every cell on the torus (of every lattice of a stack)."""
-    return _cell_entries(c, _check_dims(c, tt), tt.as_array())
+    return _cell_entries(c, check_lattice(tt.arity, c.shape), tt.as_array())
 
 
 def m_field(c: np.ndarray, profile: RuleProfile) -> np.ndarray:
     """M code of every cell's next step; state projection equals step(c, profile.tt)."""
-    return _cell_entries(c, _check_dims(c, profile.tt), profile.mcodes)
+    return _cell_entries(c, check_lattice(profile.tt.arity, c.shape), profile.mcodes)
 
 
 def evolve(
@@ -255,17 +252,44 @@ def evolve(
     if steps < 0:
         raise ValueError("step count must be non-negative")
     c0 = np.asarray(c0, dtype=np.uint8)
-    rank = _check_dims(c0, profile.tt)
-    return _evolve(Torus(c0, rank), pair_table(profile.mcodes, rank), steps)
+    rank = check_lattice(profile.tt.arity, c0.shape)
+    return _evolve(_Torus(c0, rank), _pair_table(profile.mcodes, rank), steps)
 
 
 def _evolve(
-    torus: Torus, mcode_pairs: np.ndarray, steps: int
+    torus: _Torus, mcode_pairs: np.ndarray, steps: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for _ in range(steps):
         codes = torus.lookup(mcode_pairs, torus.pair_index())
         torus.advance((codes >= _FIRST_LIVE_CODE).view(np.uint8))
         yield torus.interior(torus.buf).copy(), torus.interior(codes).copy()
+
+
+def fields_at(stack: np.ndarray, profile: RuleProfile, ks) -> Iterator[np.ndarray]:
+    """Yield the M field of each lattice of `stack` at its own step k, in
+    stack order: D^k of `evolve`, read from the lattice after k - 1 steps.
+
+    `ks` holds one k >= 1 per lattice, in non-decreasing order. At each
+    step the stack is pair-indexed once; the lattices due gather their M
+    codes and leave the stack, the others gather their next states. Each
+    field is a view that the generator never touches again.
+    """
+    ks = np.asarray(ks)
+    if ks.shape != stack.shape[:1] or np.any(ks < 1) or np.any(np.diff(ks) < 0):
+        raise ValueError("ks must hold one step k >= 1 per lattice, in non-decreasing order")
+    rank = check_lattice(profile.tt.arity, stack.shape[1:])
+    torus = _Torus(stack, rank)
+    state_pairs = _pair_table(profile.tt.as_array(), rank)
+    mcode_pairs = _pair_table(profile.mcodes, rank)
+    gone = 0
+    for t in range(1, int(ks.max(initial=0)) + 1):
+        index = torus.pair_index()
+        # The lattices due at step t lead the stack.
+        due = int(np.searchsorted(ks, t, side="right")) - gone
+        if due:
+            yield from torus.interior(torus.lookup(mcode_pairs, index[:due]))
+            gone += due
+        torus.advance(torus.lookup(state_pairs, index[due:]))
 
 
 # --- PPM output -------------------------------------------------------------

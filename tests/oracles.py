@@ -68,16 +68,32 @@ def _products_naive(form: boolmin.MinimalForm, cells):
         yield literals, [(cells[a], cells[b]) for a, b in xors]
 
 
-def eval_form_naive(form: boolmin.MinimalForm, cells) -> int:
-    """Boolean value of a form on one neighborhood: the split variables XOR
-    the OR of the products, negated if the form is."""
-    core = any(
-        all(bit != negated for bit, negated in literals) and all(a != b for a, b in factors)
-        for literals, factors in _products_naive(form, cells)
-    )
-    acc = int(form.negated) ^ int(core)
+def row_cells(arity: int) -> list[np.ndarray]:
+    """Cell j of every neighborhood index 0 .. 2^arity - 1, as one bool
+    array per variable: `index_to_cells` of every row at once."""
+    rows = np.arange(1 << arity)
+    return [(rows >> (arity - 1 - j) & 1).astype(bool) for j in range(arity)]
+
+
+def eval_form_naive(form: boolmin.MinimalForm, cells):
+    """Boolean value of a form: the split variables XOR the OR of the
+    products, negated if the form is.
+
+    `cells` holds one neighborhood's 0/1 values (`index_to_cells`), which
+    gives one value, or one bool array per variable (`row_cells`), which
+    gives a bool array of every row's value.
+    """
+    core = np.zeros(np.broadcast_shapes(*map(np.shape, cells)), bool)
+    for literals, factors in _products_naive(form, cells):
+        product = True
+        for bit, negated in literals:
+            product = product & (bit != negated)
+        for a, b in factors:
+            product = product & (a != b)
+        core = core | product
+    acc = core ^ form.negated
     for j in form.splits:
-        acc ^= cells[j]
+        acc = acc ^ cells[j]
     return acc
 
 

@@ -18,11 +18,11 @@ from lifelike.measures import (
     dynamic_measure,
     static_measure,
 )
-from lifelike.rules import elementary, gol_truth_table, index_to_cells, state_of
+from lifelike.rules import elementary, gol_truth_table, state_of
 from lifelike.search import run_ga
 from lifelike.simulator import random_lattice, step, m_field
 
-from oracles import DESK, DESK_DIGEST, catalog_digest, eval_form_naive, step_naive
+from oracles import DESK, DESK_DIGEST, catalog_digest, eval_form_naive, row_cells, step_naive
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -85,10 +85,7 @@ def test_criterion_04_semantic_soundness_exhaustive():
     for rule in range(256):
         tt = elementary(rule)
         profile = rule_profile(tt, "exact")
-        semantics = all(
-            eval_form_naive(profile.form, index_to_cells(i, 3)) == tt.outputs[i]
-            for i in range(8)
-        )
+        semantics = eval_form_naive(profile.form, row_cells(3)).tolist() == list(tt.outputs)
         projection = (
             tuple(state_of(int(c)) for c in profile.mcodes) == tt.outputs
         )

@@ -25,14 +25,12 @@ from oracles import (
     petrick_naive,
     prime_implicants_qm,
     random_table,
+    row_cells,
 )
 
 
 def exhaustive_equal(form: MinimalForm, tt: TruthTable) -> bool:
-    return all(
-        eval_form_naive(form, index_to_cells(i, tt.arity)) == tt.outputs[i]
-        for i in range(1 << tt.arity)
-    )
+    return eval_form_naive(form, row_cells(tt.arity)).tolist() == list(tt.outputs)
 
 
 class TestCanonicalKey:

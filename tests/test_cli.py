@@ -40,11 +40,25 @@ class TestExitCodes:
         assert "error" in err
         assert out == ""
 
-    def test_elementary_rule_with_2d_size_exit_1(self, capsys):
-        code, out, err = run(capsys, "dynamic", "elem:110", "--size", "10x10", "--runs", "2")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "elem:110", "--size", "10x10", "--out", "{tmp}/frames"],
+            ["dynamic", "elem:110", "--size", "10x10", "--runs", "2"],
+            ["distance", "elem:110", "elem:30", "--size", "10x10", "--runs", "2"],
+            ["import", "{tmp}/rules.txt", "--arity", "3", "--with-dynamic", "--size", "10x10"],
+            ["simulate", "moore2d:1", "--size", "10", "--out", "{tmp}/frames"],
+            ["search", "--size", "30", "--out", "{tmp}/catalog.jsonl"],
+        ],
+        ids=["simulate", "dynamic", "distance", "import", "simulate-moore", "search"],
+    )
+    def test_elementary_rule_with_2d_size_exit_1(self, capsys, tmp_path, argv):
+        # Every command names a lattice of the wrong rank with one message.
+        (tmp_path / "rules.txt").write_text("110\n")
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: elementary rules need 1D dims (N), Moore rules 2D dims (RxC)\n"
 
     def test_import_dynamic_of_rule_without_lattice_exit_1(self, capsys, tmp_path):
         rules_file = tmp_path / "r.txt"

@@ -19,7 +19,7 @@ from lifelike.rules import (
     state_of,
 )
 
-from oracles import eval_form_naive, eval_m_naive, random_table, random_tables
+from oracles import eval_form_naive, eval_m_naive, random_table, random_tables, row_cells
 
 m_codes = st.sampled_from(M_VALUES)
 NOT = DEFAULT_TABLES.not_table
@@ -101,7 +101,7 @@ class TestRuleProfile:
         bits = np.random.default_rng(seed).random(512) < density
         tt = TruthTable(9, tuple(int(b) for b in bits))
         profile = rule_profile(tt, mode)
-        rows = tuple(eval_form_naive(profile.form, index_to_cells(i, 9)) for i in range(512))
+        rows = tuple(eval_form_naive(profile.form, row_cells(9)).tolist())
         assert rows == tt.outputs
         assert tuple(state_of(c) for c in profile.mcodes.tolist()) == tt.outputs
         if mode == "greedy":

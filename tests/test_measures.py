@@ -17,6 +17,7 @@ from lifelike.measures import (
 from lifelike import measures
 from lifelike.heval import rule_profile
 from lifelike.rules import MOORE_ARITY, TruthTable, elementary, gol_truth_table
+from lifelike.simulator import LatticeError
 
 from oracles import dynamic_measure_naive
 
@@ -107,12 +108,12 @@ class TestDynamicMeasure:
 
     def test_1d_dims_require_elementary(self):
         params = DynamicParams(runs=1, dims=32, max_steps=5, seed=0)
-        with pytest.raises(MeasureError):
+        with pytest.raises(LatticeError):
             dynamic_measure(rule_profile(gol_truth_table()), params)
 
     def test_elementary_rule_rejects_2d_dims(self):
         params = DynamicParams(runs=2, dims=(10, 10), max_steps=5, seed=0)
-        with pytest.raises(MeasureError):
+        with pytest.raises(LatticeError):
             dynamic_measure(rule_profile(elementary(110)), params)
 
     def test_rule_without_lattice_rejected_before_sampling(self, monkeypatch):
@@ -123,7 +124,7 @@ class TestDynamicMeasure:
         profile = rule_profile(TruthTable(5, tuple(int(i % 3 == 0) for i in range(32))))
         for dims in ((10, 10), 10):
             params = DynamicParams(runs=2, dims=dims, max_steps=5, seed=0)
-            with pytest.raises(MeasureError):
+            with pytest.raises(LatticeError):
                 dynamic_measure(profile, params)
 
     @given(
@@ -153,6 +154,9 @@ class TestDynamicMeasure:
             DynamicParams(density=1.5)
         with pytest.raises(MeasureError):
             DynamicParams(dims=(2, 50))
+        # A stack shape is not a lattice size: no rank-3 lattices are sampled.
+        with pytest.raises(MeasureError, match=r"dims must be a size N or a shape \(R, C\)"):
+            DynamicParams(dims=(4, 5, 6))
 
     def test_negative_seed_rejected_and_no_upper_bound(self):
         with pytest.raises(MeasureError, match="seed must be a non-negative integer, got -1"):

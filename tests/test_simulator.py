@@ -10,12 +10,13 @@ from lifelike.heval import rule_profile
 from lifelike.rules import MOORE_ARITY, TruthTable, elementary, gol_truth_table, state_of
 from lifelike.simulator import (
     LatticeError,
-    Torus,
+    _pair_table,
+    check_lattice,
     evolve,
+    fields_at,
     load_pattern,
     m_field,
     neighborhood_index_field,
-    pair_table,
     ppm_bytes,
     random_lattice,
     render_ppm,
@@ -88,6 +89,27 @@ class TestEngines:
         assert np.array_equal(
             step(shifted, tt), np.roll(np.roll(step(c, tt), 3, axis=0), -2, axis=1)
         )
+
+    @pytest.mark.parametrize(
+        "arity,shape,rank",
+        [(3, 10, 1), (3, (10,), 1), (9, (10, 12), 2), (9, (2, 10, 12), 2)],
+        ids=str,
+    )
+    def test_check_lattice_rank(self, arity, shape, rank):
+        assert check_lattice(arity, shape) == rank
+
+    @pytest.mark.parametrize(
+        "arity,shape", [(3, (10, 10)), (3, (2, 10)), (9, 10), (9, (2, 2, 10, 10)), (5, (10, 10))],
+        ids=str,
+    )
+    def test_check_lattice_rejects(self, arity, shape):
+        if arity == 5:
+            message = "rules of arity 5 have no lattice to evolve"
+        else:
+            message = "elementary rules need 1D dims (N), Moore rules 2D dims (RxC)"
+        with pytest.raises(LatticeError) as caught:
+            check_lattice(arity, shape)
+        assert str(caught.value) == message
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(LatticeError):
@@ -173,18 +195,26 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
     def test_stack_stepped_with_drop_matches_naive(self, shape):
-        # Lattices leave the front of the stack as the dynamic measure's
-        # runs do; the others keep stepping like lattices evolved alone.
+        # Lattices leave the front of the stack at their own k, as the
+        # dynamic measure's runs do; the others keep stepping like lattices
+        # evolved alone.
         rng = np.random.default_rng(len(np.atleast_1d(shape)))
-        rank = len(np.atleast_1d(shape))
-        tt = random_rule(rank, rng)
+        profile = rule_profile(random_rule(len(np.atleast_1d(shape)), rng), "greedy")
         lattices = [random_lattice(shape, 0.5, rng) for _ in range(5)]
-        torus = Torus(np.stack(lattices), rank)
-        states = pair_table(tt.as_array(), rank)
-        for drop in (0, 1, 0, 2, 0, 1):
-            torus.advance(torus.lookup(states, torus.pair_index()[drop:]))
-            lattices = [step_naive(c, tt) for c in lattices[drop:]]
-            assert np.array_equal(torus.interior(torus.buf), np.stack(lattices))
+        ks = (1, 1, 2, 4, 4)
+        # Collected first: a yielded field must not change as the stack steps on.
+        fields = list(fields_at(np.stack(lattices), profile, ks))
+        assert len(fields) == len(ks)
+        for c, k, field in zip(lattices, ks, fields):
+            for _ in range(k - 1):
+                c = step_naive(c, profile.tt)
+            assert np.array_equal(field, profile.mcodes[index_field_naive(c)])
+
+    @pytest.mark.parametrize("ks", [(1, 2), (1, 2, 3, 4), (0, 1, 1), (2, 1, 3)], ids=str)
+    def test_fields_at_rejects_bad_ks(self, ks):
+        stack = np.zeros((3, 4, 4), np.uint8)
+        with pytest.raises(ValueError, match="ks must hold"):
+            next(fields_at(stack, rule_profile(gol_truth_table()), ks))
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_pair_tables_reject_writes(self, rank):
@@ -192,7 +222,7 @@ class TestPairKernel:
         tt = random_rule(rank, rng)
         identity = np.arange(1 << tt.arity, dtype="<u2")
         for table in (tt.as_array(), rule_profile(tt, "greedy").mcodes, identity):
-            pairs = pair_table(table, rank)
+            pairs = _pair_table(table, rank)
             assert pairs.size == 1 << 14 and pairs.itemsize == 2 * table.itemsize
             with pytest.raises(ValueError):
                 pairs[0] = 1
